@@ -3,12 +3,13 @@
 
 Runs the fixed synthetic workloads of :mod:`repro.eval.benchmarking` —
 the 10k-window single-subject workload through both execution paths of
-the CHRIS runtime, and the 50-subject x 2k-window fleet through the
-sequential / mega-batched / process-pool fleet paths (``"fleet"`` block),
+the CHRIS runtime, and the 50-subject x 2k-window fleet through a
+per-subject ``run_many`` loop, one fleet-wide ``run_many`` and the
+process-pool executor (``"fleet"`` block),
 through the online dynamic-session scheduler (``"scheduler"`` block),
 through the stacked-state dispatch on a stateful-heavy zoo
-(``"stateful_fleet"`` block: fused ``predict_fleet`` vs the per-subject
-fallback), and through the fused inference engine (``"inference"`` block:
+(``"stateful_fleet"`` block: fused ``predict_fleet`` vs the scalar
+per-window oracle), and through the fused inference engine (``"inference"`` block:
 batched AT peak detection vs the scalar detector, TimePPG's frozen
 inference network vs the training-mode forward, and the
 ``equivalence="tolerance"`` cross-subject TimePPG fusion vs the bitwise

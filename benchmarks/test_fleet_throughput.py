@@ -3,9 +3,9 @@
 The fleet execution engine stacks all subjects' windows into per-model
 groups across the whole population (one ``predict`` call per model for
 the entire fleet) and can shard subjects across worker processes; this
-benchmark replays a 50-subject x 2k-window fleet through the sequential
-per-subject path and both fast paths, verifies the decisions are
-bit-identical, and pins the mega-batched speedup floor at 3x so
+benchmark replays a 50-subject x 2k-window fleet through a per-subject
+``run_many([subject])`` loop and both fast paths, verifies the decisions
+are bit-identical, and pins the mega-batched speedup floor at 3x so
 regressions fail loudly.
 """
 

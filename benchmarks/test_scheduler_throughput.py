@@ -4,7 +4,7 @@ The online :class:`~repro.core.scheduler.FleetScheduler` must not trade
 its dynamic-session flexibility for throughput: arrivals that queue while
 the worker pool is busy coalesce into cross-subject mega-batches, so
 draining the 50-subject x 2k-window workload through the scheduler has to
-stay ≥ 3x faster than sequential per-subject replay (the same baseline
+stay ≥ 3x faster than a per-subject ``run_many`` loop (the same baseline
 the mega-batch benchmark pins against), while remaining bit-identical to
 it.  The measurement also lands in ``BENCH_runtime.json`` (see
 ``benchmarks/summarize_runtime.py``) so the perf trajectory tracks the

@@ -26,7 +26,7 @@ import time
 
 from repro.core import Constraint, FleetScheduler, SessionState
 from repro.eval import CalibratedExperiment
-from repro.eval.benchmarking import synthetic_fleet
+from repro.eval.benchmarking import per_subject_replay, synthetic_fleet
 from repro.hw import CostTableRegistry, WearableSystem
 
 
@@ -101,8 +101,11 @@ def main() -> None:
     # Each path replays a deep copy of the pristine zoo, so both start
     # from identical predictor streams and the experiment stays unmutated.
     t0 = time.perf_counter()
-    sequential = copy.deepcopy(experiment.runtime()).run_many(
-        subjects[:60], constraint, use_oracle_difficulty=True, mega_batched=False
+    sequential = per_subject_replay(
+        copy.deepcopy(experiment.runtime()),
+        subjects[:60],
+        constraint,
+        use_oracle_difficulty=True,
     )
     timings["sequential"] = time.perf_counter() - t0
     print(f"  sequential    {timings['sequential'] * 1e3:7.1f} ms "

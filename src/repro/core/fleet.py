@@ -10,21 +10,23 @@ order (:meth:`FleetExecutor.run_fleet`).
 
 Decision-for-decision equivalence with sequential replay
 --------------------------------------------------------
-Each shard replays through the runtime's mega-batched path, including
-the stacked-state fused dispatch for stateful predictors
-(:meth:`~repro.models.base.HeartRatePredictor.predict_fleet` with one
-state slot per shard subject) — shard boundaries, like subject
+The parent plans the entire fleet once (planning is vectorized and
+side-effect free) and every shard executes its slice of those plans
+through the runtime's fleet kernel — or, with ``batched=False``, its
+per-window oracle — so difficulty inference and routing never repeat
+per shard.  Stateful predictors fuse through
+:meth:`~repro.models.base.HeartRatePredictor.predict_fleet` with one
+state slot per shard subject: shard boundaries, like subject
 boundaries, are state-slot boundaries, not serialization points.
 Sequential ``run_many`` resets per-run predictor state before every
 subject, but *cross-run* state — the calibrated models' Laplace streams —
 advances monotonically across the whole fleet, so a shard that starts at
 subject ``k`` must first put every predictor in the state sequential
-replay would have reached after subjects ``0..k-1``.  The parent
-therefore plans the entire fleet once (planning is vectorized and
-side-effect free), derives each model's per-subject window counts, and
-every shard task fast-forwards its private predictor copies with
+replay would have reached after subjects ``0..k-1``.  The plans give
+each model's per-subject window counts, and every shard task
+fast-forwards its private predictor copies with
 :meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state` before
-replaying its subjects.  The result is bit-identical to the sequential
+executing its subjects.  The result is bit-identical to the sequential
 path no matter how many workers execute or how shards are interleaved.
 (With a runtime built under ``equivalence="tolerance"`` the contract
 relaxes exactly as documented in :mod:`repro.core.runtime`:
@@ -237,7 +239,6 @@ class SharedSubjectStore:
 def _init_fleet_worker(
     runtime: CHRISRuntime,
     subjects: "Sequence[WindowedSubject] | None",
-    traces: Mapping[str, np.ndarray],
     registry_json: str,
     systems: Mapping[str, WearableSystem],
     shared_manifest: "dict | None",
@@ -255,7 +256,6 @@ def _init_fleet_worker(
         _WORKER_STATE["shared_handles"] = handles
     _WORKER_STATE["runtime"] = runtime
     _WORKER_STATE["subjects"] = subjects
-    _WORKER_STATE["traces"] = traces
     registry = CostTableRegistry.from_json(registry_json)
     # The parent profiled every revision the fleet can touch before
     # serializing; a miss in the worker therefore means the wrong or a
@@ -270,21 +270,16 @@ def _run_fleet_shard(
     start: int,
     stop: int,
     prior_windows: Mapping[str, int],
-    constraint: Constraint,
-    use_oracle_difficulty: bool,
+    plans: list,
     batched: bool,
-    mega_batched: bool,
-    plans: "list | None",
 ) -> list[tuple[str, RunResult]]:
-    """Replay ``subjects[start:stop]`` from a pristine, fast-forwarded state.
+    """Execute ``subjects[start:stop]`` from a pristine, fast-forwarded state.
 
     ``prior_windows`` maps each zoo model to the number of windows the
     plan routes to it across all subjects *before* this shard; advancing
     by those counts reproduces the predictor state sequential replay
-    would carry into subject ``start``.  When the parent ships this
-    shard's execution ``plans`` (mega-batched dispatch), the worker
-    executes them directly instead of re-planning — difficulty inference
-    and routing run exactly once per fleet.
+    would carry into subject ``start``.  ``plans`` are this shard's slice
+    of the parent's fleet plans.
     """
     faults.fire("fleet.shard", shard=shard_index)
     runtime: CHRISRuntime = copy.deepcopy(_WORKER_STATE["runtime"])
@@ -297,23 +292,9 @@ def _run_fleet_shard(
     subjects = _WORKER_STATE["subjects"][start:stop]
     shard_ids = {s.subject_id for s in subjects}
     shard_systems = {sid: sys for sid, sys in systems.items() if sid in shard_ids}
-    if plans is not None:
-        fleet = runtime._run_many_planned(subjects, plans, systems=shard_systems)
-    else:
-        traces = {
-            sid: trace
-            for sid, trace in _WORKER_STATE["traces"].items()
-            if sid in shard_ids
-        }
-        fleet = runtime.run_many(
-            subjects,
-            constraint,
-            use_oracle_difficulty=use_oracle_difficulty,
-            batched=batched,
-            mega_batched=mega_batched,
-            connected_traces=traces,
-            systems=shard_systems,
-        )
+    fleet = runtime._run_many_planned(
+        subjects, plans, systems=shard_systems, batched=batched
+    )
     return list(fleet.results.items())
 
 
@@ -326,7 +307,9 @@ class FleetExecutor:
     calls on one executor produce identical results regardless of worker
     or shard count.  This differs from calling ``runtime.run_many``
     directly, which advances the calibrated models' random streams
-    in place.
+    in place.  The executor plans the whole fleet once, in the calling
+    process; every shard — pooled, in-process or resumed — executes its
+    slice of those plans.
 
     Parameters
     ----------
@@ -342,9 +325,6 @@ class FleetExecutor:
         Target shards per worker; more shards stream results at a finer
         granularity and balance uneven subjects at the cost of a little
         per-shard setup.
-    mega_batched:
-        Whether each shard uses cross-subject mega-batched execution
-        (default) or per-subject replay inside the worker.
     start_method:
         ``multiprocessing`` start method; the platform default when
         omitted (``fork`` on Linux, which shares the subjects' signal
@@ -377,7 +357,6 @@ class FleetExecutor:
         runtime: CHRISRuntime,
         max_workers: int | None = None,
         shards_per_worker: int = 4,
-        mega_batched: bool = True,
         start_method: str | None = None,
         share_signals: bool | None = None,
         checkpoint_dir: "str | os.PathLike | None" = None,
@@ -395,7 +374,6 @@ class FleetExecutor:
         self.runtime = runtime
         self.max_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         self.shards_per_worker = shards_per_worker
-        self.mega_batched = mega_batched
         self.start_method = start_method
         self.share_signals = share_signals
         self.checkpoint_dir = checkpoint_dir
@@ -472,48 +450,35 @@ class FleetExecutor:
             raise KeyError(f"systems for unknown subjects: {unknown}")
         if not subjects:
             return
+        # Plan the entire fleet once, in the parent: the plans give every
+        # shard's fast-forward counts and are what every shard executes,
+        # so difficulty inference and routing never repeat per shard.
+        plans = self.runtime._plan_fleet(
+            subjects, constraint, use_oracle_difficulty, traces, systems=systems
+        )
         bounds = self.shard_bounds(len(subjects))
         if self.checkpoint_dir is None and (len(bounds) <= 1 or self.max_workers == 1):
-            # In-process fast path: no pool, no planning pass, same
-            # decisions.  The whole fleet replays as a single local shard
-            # on a pristine runtime copy, so the executor never advances
-            # the parent runtime's predictor streams — with retry and
-            # quarantine semantics identical to the sharded paths.
+            # In-process fast path: no pool, same decisions.  The whole
+            # fleet replays as a single local shard on a pristine runtime
+            # copy, so the executor never advances the parent runtime's
+            # predictor streams — with retry and quarantine semantics
+            # identical to the sharded paths.
+            whole = [(0, len(subjects))]
             yield from self._drain_shards(
                 self._run_shards_inprocess(
-                    subjects,
-                    [(0, len(subjects))],
-                    [{}],
-                    [None],
-                    constraint,
-                    use_oracle_difficulty,
-                    batched,
-                    traces,
-                    systems,
-                    [0],
-                    None,
+                    subjects, whole, [{}], [plans], batched, systems, [0], None
                 ),
                 subjects,
-                [(0, len(subjects))],
+                whole,
                 None,
                 None,
                 failures,
             )
             return
 
-        # Plan the entire fleet once, in the parent: the plans give every
-        # shard's fast-forward counts, and (on the mega-batched path) are
-        # shipped to the workers so difficulty inference and routing are
-        # never repeated per shard.
-        plans = self.runtime._plan_fleet(
-            subjects, constraint, use_oracle_difficulty, traces, systems=systems
-        )
         priors = self._prior_window_counts(plans, bounds)
-        ship_plans = batched and self.mega_batched
         self._profile_cost_tables(systems)
-        plan_slices = [
-            plans[start:stop] if ship_plans else None for start, stop in bounds
-        ]
+        plan_slices = [plans[start:stop] for start, stop in bounds]
 
         journal = stager = None
         todo = list(range(len(bounds)))
@@ -533,13 +498,11 @@ class FleetExecutor:
 
         if self.max_workers == 1 or len(todo) <= 1:
             runner = self._run_shards_inprocess(
-                subjects, bounds, priors, plan_slices, constraint,
-                use_oracle_difficulty, batched, traces, systems, todo, journal,
+                subjects, bounds, priors, plan_slices, batched, systems, todo, journal
             )
         else:
             runner = self._run_shards_pooled(
-                subjects, bounds, priors, plan_slices, constraint,
-                use_oracle_difficulty, batched, traces, systems, todo, journal,
+                subjects, bounds, priors, plan_slices, batched, systems, todo, journal
             )
         yield from self._drain_shards(
             runner, subjects, bounds, journal, stager, failures
@@ -595,7 +558,6 @@ class FleetExecutor:
             "zoo": list(self.runtime.zoo.names),
             "equivalence": self.runtime.equivalence,
             "dtype": str(self.runtime.dtype),
-            "mega_batched": bool(self.mega_batched),
             "use_oracle_difficulty": bool(use_oracle_difficulty),
             "traced_subjects": sorted(traces),
             "hardware": sorted(
@@ -656,11 +618,8 @@ class FleetExecutor:
         subjects: Sequence[WindowedSubject],
         bound: tuple[int, int],
         prior: Mapping[str, int],
-        plans: "list | None",
-        constraint: Constraint,
-        use_oracle_difficulty: bool,
+        plans: list,
         batched: bool,
-        traces: Mapping[str, np.ndarray],
         systems: Mapping[str, WearableSystem],
     ) -> list[tuple[str, RunResult]]:
         """In-process twin of :func:`_run_fleet_shard` (same fault site)."""
@@ -672,23 +631,9 @@ class FleetExecutor:
         shard_subjects = subjects[start:stop]
         shard_ids = {s.subject_id for s in shard_subjects}
         shard_systems = {sid: sys for sid, sys in systems.items() if sid in shard_ids}
-        if plans is not None:
-            fleet = runtime._run_many_planned(
-                shard_subjects, plans, systems=shard_systems
-            )
-        else:
-            shard_traces = {
-                sid: trace for sid, trace in traces.items() if sid in shard_ids
-            }
-            fleet = runtime.run_many(
-                shard_subjects,
-                constraint,
-                use_oracle_difficulty=use_oracle_difficulty,
-                batched=batched,
-                mega_batched=self.mega_batched,
-                connected_traces=shard_traces,
-                systems=shard_systems,
-            )
+        fleet = runtime._run_many_planned(
+            shard_subjects, plans, systems=shard_systems, batched=batched
+        )
         return list(fleet.results.items())
 
     def _run_shards_inprocess(
@@ -696,11 +641,8 @@ class FleetExecutor:
         subjects: Sequence[WindowedSubject],
         bounds: Sequence[tuple[int, int]],
         priors: Sequence[Mapping[str, int]],
-        plan_slices: Sequence["list | None"],
-        constraint: Constraint,
-        use_oracle_difficulty: bool,
+        plan_slices: Sequence[list],
         batched: bool,
-        traces: Mapping[str, np.ndarray],
         systems: Mapping[str, WearableSystem],
         todo: Sequence[int],
         journal: "FleetJournal | None",
@@ -718,8 +660,7 @@ class FleetExecutor:
                 try:
                     records = self._execute_shard_local(
                         index, subjects, bounds[index], priors[index],
-                        plan_slices[index], constraint, use_oracle_difficulty,
-                        batched, traces, systems,
+                        plan_slices[index], batched, systems,
                     )
                 except Exception as exc:
                     attempts += 1
@@ -736,11 +677,8 @@ class FleetExecutor:
         subjects: Sequence[WindowedSubject],
         bounds: Sequence[tuple[int, int]],
         priors: Sequence[Mapping[str, int]],
-        plan_slices: Sequence["list | None"],
-        constraint: Constraint,
-        use_oracle_difficulty: bool,
+        plan_slices: Sequence[list],
         batched: bool,
-        traces: Mapping[str, np.ndarray],
         systems: Mapping[str, WearableSystem],
         todo: Sequence[int],
         journal: "FleetJournal | None",
@@ -785,7 +723,6 @@ class FleetExecutor:
                 initargs=(
                     self.runtime,
                     None if store is not None else subjects,
-                    traces,
                     registry_json,
                     systems,
                     store.manifest if store is not None else None,
@@ -802,11 +739,8 @@ class FleetExecutor:
                 start,
                 stop,
                 priors[index],
-                constraint,
-                use_oracle_difficulty,
-                batched,
-                self.mega_batched,
                 plan_slices[index],
+                batched,
             )
             inflight[future] = index
 

@@ -12,62 +12,55 @@ energy, and offload statistics.
 
 Execution model
 ---------------
-Processing is split into a cheap *planning* phase and an *execution*
-phase:
+Every run is a fleet: :meth:`CHRISRuntime.run`,
+:meth:`~CHRISRuntime.run_with_configuration` and
+:meth:`~CHRISRuntime.run_with_connection_trace` replay a fleet of one
+through the same two phases as :meth:`CHRISRuntime.run_many`:
 
-1. **Plan** — difficulty prediction, configuration (re-)selection and
-   per-window model routing are computed up front as NumPy arrays.  For
-   :meth:`CHRISRuntime.run_with_connection_trace` the plan is built
-   segment-wise: the feasible configuration set changes with the BLE
-   status, so the engine re-selects exactly at each connection-status
-   change and phone targets degrade to the watch while disconnected.
-2. **Execute** — by default window indices are grouped by model and each
-   group is dispatched through the predictor's batch
-   :meth:`~repro.models.base.HeartRatePredictor.predict` API, with
-   per-window costs filled from a cached per-``(deployment, target)``
-   lookup (:meth:`repro.hw.platform.WearableSystem.cached_prediction_cost`).
-   Within each group the windows keep their recording order, so stateful
-   predictors (trackers, calibrated error models with a private random
-   stream) see exactly the same inputs in exactly the same order as the
-   reference per-window path — the two paths are decision-for-decision
-   identical.  Pass ``batched=False`` (or construct the runtime with
-   ``batched=False``) to force the reference per-window path.
+1. **Plan** — difficulty prediction, configuration selection and
+   per-window model routing are computed up front as NumPy arrays.  The
+   engine selects one configuration per BLE status (a subject with a
+   connection trace re-selects at every status change and records each
+   switch as a configuration segment), and a routing table indexed by
+   ``(status, difficulty level)`` routes every window by one gather;
+   phone targets degrade to the watch while disconnected.
+2. **Execute** — one fleet-wide kernel stacks all subjects' windows into
+   per-model groups and dispatches **one** fused call per model for the
+   whole population, then fills every per-window cost by one gather from
+   a ``(hardware revision, model, target)`` table of cached costs
+   (:meth:`repro.hw.platform.WearableSystem.cached_prediction_cost`).
+   How the fused call looks depends on the predictor:
+
+   * ``FLEET_BATCHABLE = True`` — predictions read no per-run temporal
+     state, so the fused call is a plain batch
+     :meth:`~repro.models.base.HeartRatePredictor.predict` over the stack.
+   * ``FLEET_BATCHABLE = False`` (stateful trackers, anything consuming
+     ``_last_estimate``-style state) — the fused call is
+     :meth:`~repro.models.base.HeartRatePredictor.predict_fleet`: a
+     :class:`~repro.models.base.FleetState` carries one state slot per
+     subject, a ``subject_index`` vector names each window's slot, and
+     the per-subject ``reset()`` boundaries of sequential replay become
+     fresh state slots.  Vectorized implementations advance all
+     subjects' streams in lock-step.
+
+   Within each group the windows keep subject-major recording order, so
+   every predictor sees exactly the inputs, in exactly the order, of
+   sequential per-window replay.  Pass ``batched=False`` (per call, or
+   to the constructor) to execute the same plans through the reference
+   per-window oracle instead: one ``predict_window`` call per window,
+   predictor state reset per subject, uncached costs.  The two are
+   decision-for-decision identical.
 
 Results are stored as a struct-of-arrays :class:`RunResult`; the familiar
 :class:`WindowDecision` objects are materialized lazily on first access to
-:attr:`RunResult.decisions`.  :meth:`CHRISRuntime.run_many` replays a
-fleet of subjects and aggregates them into a :class:`FleetResult`.
-
-Fleet mega-batching
--------------------
-By default :meth:`CHRISRuntime.run_many` *mega-batches* the fleet: every
-subject is planned individually (so per-subject difficulty streams,
-connection traces and configuration segments are preserved), but
-execution stacks all subjects' windows into per-model groups across the
-whole population and dispatches **one** fused call per model for the
-entire fleet.  How that call looks depends on the predictor:
-
-* ``FLEET_BATCHABLE = True`` — predictions read no per-run temporal
-  state, so the fused call is a plain batch
-  :meth:`~repro.models.base.HeartRatePredictor.predict` over the stack.
-* ``FLEET_BATCHABLE = False`` (stateful trackers, anything consuming
-  ``_last_estimate``-style state) — the fused call is **stacked-state**
-  :meth:`~repro.models.base.HeartRatePredictor.predict_fleet`: a
-  :class:`~repro.models.base.FleetState` carries one state slot per
-  subject, a ``subject_index`` vector names each window's slot, and the
-  per-subject ``reset()`` boundaries of sequential replay become fresh
-  state slots instead of serialization points.  Vectorized
-  implementations advance all subjects' streams in lock-step.
-  Constructing the runtime with ``stacked_state=False`` restores the
-  legacy dispatch of one batch per ``(model, subject)`` segment.
-
-Both dispatches are decision-for-decision identical to sequential
-:meth:`run_many`.  Multi-process sharding on top of this lives in
-:mod:`repro.core.fleet`; dynamically arriving/leaving sessions in
-:mod:`repro.core.scheduler` (each mega-batch allocates state slots for
-the sessions it fuses — arrivals get fresh slots, retired sessions are
-never planned and never occupy one).  Zero-window subjects are legal in
-every multi-subject path and contribute an empty per-subject result.
+:attr:`RunResult.decisions`.  :meth:`CHRISRuntime.run_many` aggregates a
+fleet into a :class:`FleetResult`.  Multi-process sharding on top of the
+kernel lives in :mod:`repro.core.fleet`; dynamically arriving/leaving
+sessions in :mod:`repro.core.scheduler` (each batch allocates state
+slots for the sessions it fuses — arrivals get fresh slots, retired
+sessions are never planned and never occupy one).  Zero-window subjects
+are legal in every multi-subject path and contribute an empty result;
+single-subject runs reject an empty recording.
 
 Equivalence policy
 ------------------
@@ -112,7 +105,7 @@ entry point accepts ``systems``, a per-subject-id mapping to the
 (subjects absent from the mapping use the runtime's default system).
 Difficulty prediction and model routing are hardware-independent; per
 subject, the connection status of *its* system gates configuration
-selection, and the cost fill groups windows by hardware revision so each
+selection, and the cost table has one row per hardware revision, so each
 ``(deployment, target)`` pair is looked up once per revision through the
 shared :class:`~repro.hw.platform.CostTableRegistry`.
 """
@@ -610,6 +603,63 @@ class _ExecutionPlan:
     segments: list[tuple[int, ProfiledConfiguration]]
 
 
+class _RoutingTable:
+    """Model code and offload flag of every ``(BLE status, difficulty level)``.
+
+    One table serves one planning call, in which the operating
+    configuration is a function of the BLE status alone: selected from
+    the constraint once per status, or pinned by the caller.  A status
+    row resolves through :meth:`DecisionEngine.select_model` the first
+    time a plan meets that status (phone targets degrade to the watch in
+    the disconnected row); every window of every subject, plain or
+    traced, is then routed by one gather.
+    """
+
+    def __init__(
+        self,
+        engine: DecisionEngine,
+        model_names: Sequence[str],
+        constraint: Constraint | None,
+        configuration: ProfiledConfiguration | None = None,
+    ) -> None:
+        self._engine = engine
+        self._model_names = list(model_names)
+        self._constraint = constraint
+        self._pinned = configuration
+        self._configurations: dict[bool, ProfiledConfiguration] = {}
+        self._codes = np.zeros((2, NUM_DIFFICULTY_LEVELS + 1), dtype=np.intp)
+        self._offloaded = np.zeros((2, NUM_DIFFICULTY_LEVELS + 1), dtype=bool)
+
+    def configuration(self, connected: bool) -> ProfiledConfiguration:
+        """The configuration active under ``connected``; resolves its row."""
+        configuration = self._configurations.get(connected)
+        if configuration is None:
+            configuration = self._pinned
+            if configuration is None:
+                configuration = self._engine.select_or_closest(
+                    self._constraint, connected=connected
+                )
+            for level in range(1, NUM_DIFFICULTY_LEVELS + 1):
+                name, target = self._engine.select_model(configuration, level)
+                self._codes[int(connected), level] = self._model_names.index(name)
+                self._offloaded[int(connected), level] = (
+                    connected and target is ExecutionTarget.PHONE
+                )
+            self._configurations[connected] = configuration
+        return configuration
+
+    def route(
+        self, connected: np.ndarray, difficulties: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(model_codes, offloaded)`` of windows with these statuses and levels.
+
+        Every status in ``connected`` must have been resolved through
+        :meth:`configuration` first.
+        """
+        rows = connected.astype(np.intp)
+        return self._codes[rows, difficulties], self._offloaded[rows, difficulties]
+
+
 class CHRISRuntime:
     """End-to-end CHRIS execution over windowed recordings.
 
@@ -619,22 +669,11 @@ class CHRISRuntime:
         The CHRIS building blocks (hardware co-model and difficulty
         detector are optional).
     batched:
-        Default execution path: ``True`` dispatches window groups through
-        the predictors' batch API (fast), ``False`` replays windows one by
-        one through ``predict_window`` (reference).  Both paths produce
-        identical decisions; each ``run*`` method also accepts a
-        per-call ``batched`` override.
-    mega_batched:
-        Default fleet execution path of :meth:`run_many`: ``True`` stacks
-        all subjects' windows into per-model groups across the whole fleet
-        (fast, identical decisions), ``False`` replays subjects one at a
-        time.  Only effective when ``batched`` resolves to ``True``.
-    stacked_state:
-        How the mega path dispatches stateful (``FLEET_BATCHABLE =
-        False``) predictors: ``True`` (default) fuses one
-        ``predict_fleet`` call per model with stacked per-subject state
-        vectors; ``False`` restores the legacy one-batch-per-``(model,
-        subject)`` dispatch.  Identical decisions either way.
+        Default execution path: ``True`` runs the fleet-wide kernel
+        (fused per-model calls, see the module docstring), ``False``
+        replays windows one by one through ``predict_window`` (the
+        reference oracle).  Both paths produce identical decisions; each
+        ``run*`` method also accepts a per-call ``batched`` override.
     equivalence:
         Fast-path reproduction contract (see the module docstring):
         ``"bitwise"`` keeps every fast path bit-identical to sequential
@@ -667,8 +706,6 @@ class CHRISRuntime:
         system: WearableSystem | None = None,
         activity_classifier: ActivityClassifier | None = None,
         batched: bool = True,
-        mega_batched: bool = True,
-        stacked_state: bool = True,
         equivalence: str | None = None,
         dtype: str | np.dtype = "float64",
     ) -> None:
@@ -690,8 +727,6 @@ class CHRISRuntime:
         self.system = system or WearableSystem()
         self.activity_classifier = activity_classifier
         self.batched = batched
-        self.mega_batched = mega_batched
-        self.stacked_state = stacked_state
         self.equivalence = equivalence
         if self.dtype != np.dtype("float64"):
             # Re-pin every predictor's compute dtype (float64 runtimes
@@ -705,261 +740,10 @@ class CHRISRuntime:
             return windows.difficulty
         return self.activity_classifier.predict_difficulty(windows.accel_windows)
 
-    # -------------------------------------------------------------- planning
     def _reset_predictors(self) -> None:
         """Clear temporal predictor state so runs never leak across subjects."""
         for entry in self.zoo:
             entry.predictor.reset()
-
-    def _model_code(self, name: str) -> int:
-        """Index of a model in the zoo's registration order."""
-        return self.zoo.names.index(name)
-
-    def _route_windows(
-        self,
-        configuration: ProfiledConfiguration,
-        difficulties: np.ndarray,
-        connected: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized model selection for a block of difficulty levels.
-
-        Returns ``(model_codes, offloaded)`` arrays; phone targets degrade
-        to the watch when the link is down, exactly like the per-window
-        reference path.
-        """
-        model_codes = np.zeros(difficulties.shape[0], dtype=np.intp)
-        offloaded = np.zeros(difficulties.shape[0], dtype=bool)
-        for level in np.unique(difficulties):
-            name, target = self.engine.select_model(configuration, int(level))
-            if target is ExecutionTarget.PHONE and not connected:
-                target = ExecutionTarget.WATCH
-            mask = difficulties == level
-            model_codes[mask] = self._model_code(name)
-            offloaded[mask] = target is ExecutionTarget.PHONE
-        return model_codes, offloaded
-
-    def _fleet_router(self):
-        """A drop-in for :meth:`_route_windows` that amortizes across a fleet.
-
-        Routing is a pure function of ``(configuration, connection
-        status)`` per difficulty level, so the fleet planner resolves all
-        nine levels once into a lookup table and maps every further
-        subject's difficulty array through it — same decisions as the
-        per-subject path, without re-querying the engine per subject.
-        """
-        lut_cache: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
-
-        def route(
-            configuration: ProfiledConfiguration,
-            difficulties: np.ndarray,
-            connected: bool,
-        ) -> tuple[np.ndarray, np.ndarray]:
-            key = (id(configuration), connected)
-            lut = lut_cache.get(key)
-            if lut is None:
-                codes = np.zeros(NUM_DIFFICULTY_LEVELS + 1, dtype=np.intp)
-                offloaded = np.zeros(NUM_DIFFICULTY_LEVELS + 1, dtype=bool)
-                for level in range(1, NUM_DIFFICULTY_LEVELS + 1):
-                    name, target = self.engine.select_model(configuration, level)
-                    if target is ExecutionTarget.PHONE and not connected:
-                        target = ExecutionTarget.WATCH
-                    codes[level] = self._model_code(name)
-                    offloaded[level] = target is ExecutionTarget.PHONE
-                lut = (codes, offloaded)
-                lut_cache[key] = lut
-            codes, offloaded = lut
-            return codes[difficulties], offloaded[difficulties]
-
-        return route
-
-    def _plan_plain(
-        self,
-        windows: WindowedSubject,
-        configuration: ProfiledConfiguration,
-        use_oracle_difficulty: bool,
-        route=None,
-        connected: bool | None = None,
-    ) -> _ExecutionPlan:
-        """Routing plan for one recording under a fixed configuration.
-
-        ``connected`` overrides the default system's current BLE status —
-        heterogeneous fleets route each subject against the status of its
-        own hardware.
-        """
-        if windows.n_windows == 0:
-            raise ValueError("the recording contains no windows")
-        if connected is None:
-            connected = self.system.connected
-        difficulties = self._predicted_difficulty(windows, use_oracle_difficulty)
-        model_codes, offloaded = (route or self._route_windows)(
-            configuration, difficulties, connected=connected
-        )
-        return _ExecutionPlan(
-            configuration=configuration,
-            difficulties=difficulties,
-            model_codes=model_codes,
-            offloaded=offloaded,
-            segments=[(0, configuration)],
-        )
-
-    def _plan_traced(
-        self,
-        windows: WindowedSubject,
-        constraint: Constraint,
-        connected: np.ndarray,
-        use_oracle_difficulty: bool,
-        route=None,
-    ) -> _ExecutionPlan:
-        """Segment-wise routing plan for a recording with a BLE trace.
-
-        The engine re-selects the operating configuration at every
-        connection-status change; the resulting plan carries one
-        configuration segment per change and the configuration active at
-        the *end* of the run.
-        """
-        connected = np.asarray(connected, dtype=bool)
-        if connected.shape != (windows.n_windows,):
-            raise ValueError(
-                f"connected must have one entry per window "
-                f"({windows.n_windows}), got shape {connected.shape}"
-            )
-        if windows.n_windows == 0:
-            raise ValueError("the recording contains no windows")
-
-        difficulties = self._predicted_difficulty(windows, use_oracle_difficulty)
-
-        n = windows.n_windows
-        model_codes = np.zeros(n, dtype=np.intp)
-        offloaded = np.zeros(n, dtype=bool)
-        segments: list[tuple[int, ProfiledConfiguration]] = []
-        configuration_by_status: dict[bool, ProfiledConfiguration] = {}
-
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(connected)) + 1])
-        ends = np.concatenate([starts[1:], [n]])
-        for start, end in zip(starts, ends):
-            status = bool(connected[start])
-            if status not in configuration_by_status:
-                configuration_by_status[status] = self.engine.select_or_closest(
-                    constraint, connected=status
-                )
-            configuration = configuration_by_status[status]
-            segments.append((int(start), configuration))
-            codes, off = (route or self._route_windows)(
-                configuration, difficulties[start:end], connected=status
-            )
-            model_codes[start:end] = codes
-            offloaded[start:end] = off
-
-        return _ExecutionPlan(
-            configuration=segments[-1][1],
-            difficulties=difficulties,
-            model_codes=model_codes,
-            offloaded=offloaded,
-            segments=segments,
-        )
-
-    # ------------------------------------------------------------- execution
-    def _execute(
-        self,
-        windows: WindowedSubject,
-        plan: _ExecutionPlan,
-        batched: bool,
-        system: WearableSystem | None = None,
-    ) -> RunResult:
-        system = system if system is not None else self.system
-        if batched:
-            predicted_hr, costs = self._execute_batched(windows, plan, system)
-        else:
-            predicted_hr, costs = self._execute_scalar(windows, plan, system)
-        return RunResult(
-            configuration=plan.configuration,
-            window_index=np.arange(windows.n_windows, dtype=int),
-            predicted_difficulty=plan.difficulties.astype(int),
-            true_difficulty=windows.difficulty.astype(int),
-            model_names=np.array(self.zoo.names, dtype=object)[plan.model_codes],
-            offloaded=plan.offloaded,
-            predicted_hr=predicted_hr,
-            true_hr=np.asarray(windows.hr, dtype=float).copy(),
-            configuration_segments=plan.segments,
-            **dict(zip(_COST_FIELDS, costs)),
-        )
-
-    def _execute_batched(
-        self, windows: WindowedSubject, plan: _ExecutionPlan, system: WearableSystem
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Group windows by model and dispatch each group as one batch.
-
-        Window order is preserved inside each group, so every predictor
-        consumes its windows in recording order — the property that makes
-        this path bit-identical to the per-window reference.
-        """
-        n = windows.n_windows
-        hr = np.asarray(windows.hr, dtype=float)
-        activity = np.asarray(windows.activity, dtype=int)
-        predicted_hr = np.empty(n, dtype=self.dtype)
-        for code, name in enumerate(self.zoo.names):
-            idx = np.flatnonzero(plan.model_codes == code)
-            if idx.size == 0:
-                continue
-            entry = self.zoo.entry(name)
-            if entry.predictor.REQUIRES_SIGNALS:
-                ppg = windows.ppg_windows[idx]
-                accel = windows.accel_windows[idx]
-            else:
-                # Signal-free predictors (calibrated stand-ins) only need
-                # the batch length and the context — skip the expensive
-                # fancy-indexed copies of the big signal arrays.
-                ppg = np.broadcast_to(
-                    windows.ppg_windows[:1], (idx.size,) + windows.ppg_windows.shape[1:]
-                )
-                accel = None
-            predictions = entry.predictor.predict(
-                ppg,
-                accel,
-                true_hr=hr[idx],
-                activity=activity[idx],
-            )
-            predicted_hr[idx] = np.asarray(predictions, dtype=self.dtype)
-
-        cost_arrays = tuple(np.empty(n, dtype=float) for _ in _COST_FIELDS)
-        for code, name in enumerate(self.zoo.names):
-            for offloaded in (False, True):
-                mask = (plan.model_codes == code) & (plan.offloaded == offloaded)
-                if not np.any(mask):
-                    continue
-                target = ExecutionTarget.PHONE if offloaded else ExecutionTarget.WATCH
-                cost = system.cached_prediction_cost(
-                    self.zoo.entry(name).deployment, target
-                )
-                for array, value in zip(cost_arrays, _cost_values(cost)):
-                    array[mask] = value
-        return predicted_hr, cost_arrays
-
-    def _execute_scalar(
-        self, windows: WindowedSubject, plan: _ExecutionPlan, system: WearableSystem
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Reference per-window path: one ``predict_window`` call per window."""
-        n = windows.n_windows
-        entries = [self.zoo.entry(name) for name in self.zoo.names]
-        predicted_hr = np.empty(n, dtype=self.dtype)
-        cost_arrays = tuple(np.empty(n, dtype=float) for _ in _COST_FIELDS)
-        for i in range(n):
-            entry = entries[plan.model_codes[i]]
-            predicted_hr[i] = float(
-                entry.predictor.predict_window(
-                    windows.ppg_windows[i],
-                    windows.accel_windows[i],
-                    true_hr=float(windows.hr[i]),
-                    activity=int(windows.activity[i]),
-                )
-            )
-            if plan.offloaded[i]:
-                cost = system.offloaded_cost(entry.deployment)
-            else:
-                cost = system.local_prediction_cost(entry.deployment)
-            for array, value in zip(cost_arrays, _cost_values(cost)):
-                array[i] = value
-        return predicted_hr, cost_arrays
 
     # ----------------------------------------------------------------- run
     def run(
@@ -978,16 +762,8 @@ class CHRISRuntime:
         ``system`` overrides the runtime's default hardware for this run
         (heterogeneous fleets pass each subject's own device).
         """
-        system = system if system is not None else self.system
-        configuration = self.engine.select_or_closest(
-            constraint, connected=system.connected
-        )
-        return self.run_with_configuration(
-            windows,
-            configuration,
-            use_oracle_difficulty=use_oracle_difficulty,
-            batched=batched,
-            system=system,
+        return self._run_one(
+            windows, constraint, use_oracle_difficulty, batched, system
         )
 
     def run_with_configuration(
@@ -1004,13 +780,13 @@ class CHRISRuntime:
         is currently down (the configuration itself would be re-selected
         at the next decision point).
         """
-        system = system if system is not None else self.system
-        plan = self._plan_plain(
-            windows, configuration, use_oracle_difficulty, connected=system.connected
-        )
-        self._reset_predictors()
-        return self._execute(
-            windows, plan, self.batched if batched is None else batched, system=system
+        return self._run_one(
+            windows,
+            None,
+            use_oracle_difficulty,
+            batched,
+            system,
+            configuration=configuration,
         )
 
     def run_with_connection_trace(
@@ -1034,11 +810,45 @@ class CHRISRuntime:
         :class:`RunResult` carries the configuration active at the *end*
         of the run; per-window decisions record what actually executed.
         """
-        plan = self._plan_traced(windows, constraint, connected, use_oracle_difficulty)
-        self._reset_predictors()
-        return self._execute(
-            windows, plan, self.batched if batched is None else batched, system=system
+        return self._run_one(
+            windows,
+            constraint,
+            use_oracle_difficulty,
+            batched,
+            system,
+            trace=connected,
         )
+
+    def _run_one(
+        self,
+        windows: WindowedSubject,
+        constraint: Constraint | None,
+        use_oracle_difficulty: bool,
+        batched: bool | None,
+        system: WearableSystem | None,
+        trace: np.ndarray | None = None,
+        configuration: ProfiledConfiguration | None = None,
+    ) -> RunResult:
+        """A single-subject run: the fleet of one ``windows``."""
+        sid = windows.subject_id
+        systems = {} if system is None else {sid: system}
+        plans = self._plan_fleet(
+            [windows],
+            constraint,
+            use_oracle_difficulty,
+            {} if trace is None else {sid: trace},
+            systems=systems,
+            configuration=configuration,
+        )
+        if windows.n_windows == 0:
+            raise ValueError("the recording contains no windows")
+        fleet = self._run_many_planned(
+            [windows],
+            plans,
+            systems=systems,
+            batched=self.batched if batched is None else batched,
+        )
+        return fleet.results[sid]
 
     # ------------------------------------------------------------- run_many
     def run_many(
@@ -1047,36 +857,30 @@ class CHRISRuntime:
         constraint: Constraint,
         use_oracle_difficulty: bool = False,
         batched: bool | None = None,
-        mega_batched: bool | None = None,
         connected_traces: Mapping[str, np.ndarray] | None = None,
         systems: Mapping[str, WearableSystem] | None = None,
     ) -> FleetResult:
         """Replay a fleet of subjects under one constraint.
 
-        Predictor state is reset before every subject, so the order of
-        subjects never changes any individual result for stateless
-        predictors; subjects are processed in the given order.
+        Every subject is planned individually (per-subject difficulty
+        streams, connection traces and configuration segments are
+        preserved) and the whole population then executes in one
+        fleet-wide kernel, decision-for-decision identical to replaying
+        the subjects one at a time in the given order: predictor state
+        is reset per subject, while cross-run state (the calibrated
+        models' random streams) advances across the fleet.
 
         Parameters
         ----------
         subjects, constraint, use_oracle_difficulty, batched:
-            As in :meth:`run`.
-        mega_batched:
-            Override of the constructor's fleet execution path: ``True``
-            stacks all subjects' windows into per-model groups across the
-            whole fleet and dispatches one fused call per model for the
-            entire population (batch ``predict`` for stateless models,
-            stacked-state ``predict_fleet`` for stateful ones — see the
-            module docstring);  ``False`` replays subjects one at a
-            time.  Both paths are decision-for-decision identical;
-            mega-batching requires the batched per-subject path.
-            Zero-window subjects are legal on every path and contribute
-            an empty result.
+            As in :meth:`run`; ``batched=False`` replays every subject
+            through the per-window oracle.  Zero-window subjects are
+            legal and contribute an empty result.
         connected_traces:
             Optional per-subject BLE traces keyed by subject id; traced
-            subjects are replayed via the connection-trace path (segment
-            re-selection), the others with the connection's current
-            status.
+            subjects are replayed with segment re-selection as in
+            :meth:`run_with_connection_trace`, the others with their
+            hardware's current connection status.
         systems:
             Optional per-subject hardware keyed by subject id — one fleet
             run can mix device revisions.  Subjects absent from the
@@ -1092,147 +896,83 @@ class CHRISRuntime:
         unknown = sorted(set(systems) - known)
         if unknown:
             raise KeyError(f"systems for unknown subjects: {unknown}")
-
-        use_batched = self.batched if batched is None else batched
-        use_mega = self.mega_batched if mega_batched is None else mega_batched
-        if use_batched and use_mega and subjects:
-            return self._run_many_mega(
-                subjects, constraint, use_oracle_difficulty, traces, systems
-            )
-
-        fleet = FleetResult()
-        for subject in subjects:
-            system = systems.get(subject.subject_id)
-            if subject.n_windows == 0:
-                fleet.add(
-                    subject.subject_id,
-                    self._empty_run_result(
-                        constraint, traces.get(subject.subject_id), system
-                    ),
-                )
-                continue
-            if subject.subject_id in traces:
-                result = self.run_with_connection_trace(
-                    subject,
-                    constraint,
-                    traces[subject.subject_id],
-                    use_oracle_difficulty=use_oracle_difficulty,
-                    batched=batched,
-                    system=system,
-                )
-            else:
-                result = self.run(
-                    subject,
-                    constraint,
-                    use_oracle_difficulty=use_oracle_difficulty,
-                    batched=batched,
-                    system=system,
-                )
-            fleet.add(subject.subject_id, result)
-        return fleet
-
-    def _empty_run_result(
-        self,
-        constraint: Constraint,
-        trace: np.ndarray | None,
-        system: WearableSystem | None,
-    ) -> RunResult:
-        """The result of a zero-window subject: no decisions, no state touched.
-
-        Single-subject :meth:`run` keeps rejecting empty recordings (a
-        user error there), but a *fleet* legitimately contains devices
-        that produced no windows yet — they contribute an empty result
-        with the configuration the engine would select right now.
-        """
-        system = system if system is not None else self.system
-        if trace is not None:
-            trace = np.asarray(trace, dtype=bool)
-            if trace.shape != (0,):
-                raise ValueError(
-                    f"connected must have one entry per window (0), "
-                    f"got shape {trace.shape}"
-                )
-        configuration = self.engine.select_or_closest(
-            constraint, connected=system.connected
+        _check_unique_subject_ids(s.subject_id for s in subjects)
+        plans = self._plan_fleet(
+            subjects, constraint, use_oracle_difficulty, traces, systems=systems
         )
-        return RunResult(
-            configuration=configuration,
-            configuration_segments=[(0, configuration)],
+        return self._run_many_planned(
+            subjects,
+            plans,
+            systems=systems,
+            batched=self.batched if batched is None else batched,
         )
 
-    # --------------------------------------------------------- fleet planning
+    # -------------------------------------------------------------- planning
     def _plan_fleet(
         self,
         subjects: Sequence[WindowedSubject],
-        constraint: Constraint,
+        constraint: Constraint | None,
         use_oracle_difficulty: bool,
         traces: Mapping[str, np.ndarray],
         systems: Mapping[str, WearableSystem] | None = None,
+        configuration: ProfiledConfiguration | None = None,
     ) -> list[_ExecutionPlan]:
         """One execution plan per subject, in fleet order.
 
-        Untraced subjects on the same connection status share one
-        configuration: sequential replay re-selects per subject, but
-        selection is a deterministic function of ``(constraint,
-        connection status)``, so selecting once per status is
-        decision-identical.  With per-subject ``systems`` the status is
-        each subject's own hardware's.  Planning never touches predictor
-        state.
+        A traced subject's status comes from its trace, every other
+        subject's from its own hardware (``systems``, else the default
+        system).  Sequential replay re-selects the configuration per
+        subject and per connection change, but selection is a
+        deterministic function of ``(constraint, connection status)``,
+        so one selection per status serves the whole fleet;
+        ``configuration`` pins it instead.  Zero-window subjects plan to
+        nothing under their hardware's status.  Planning never touches
+        predictor state.
         """
         systems = systems or {}
-        route = self._fleet_router()
-        configuration_by_status: dict[bool, ProfiledConfiguration] = {}
-
-        def configuration_for(status: bool) -> ProfiledConfiguration:
-            if status not in configuration_by_status:
-                configuration_by_status[status] = self.engine.select_or_closest(
-                    constraint, connected=status
-                )
-            return configuration_by_status[status]
-
+        table = _RoutingTable(self.engine, self.zoo.names, constraint, configuration)
         plans = []
         for subject in subjects:
+            n = subject.n_windows
+            status = bool(systems.get(subject.subject_id, self.system).connected)
             trace = traces.get(subject.subject_id)
-            if subject.n_windows == 0:
-                # Zero-window subjects plan to nothing; mirror the
-                # sequential path's empty result (current-status
-                # configuration, one empty segment).
-                if trace is not None and np.asarray(trace).shape != (0,):
+            if trace is None:
+                connected = np.full(n, status)
+            else:
+                connected = np.asarray(trace, dtype=bool)
+                if connected.shape != (n,):
                     raise ValueError(
-                        f"connected must have one entry per window (0), "
-                        f"got shape {np.asarray(trace).shape}"
+                        f"connected must have one entry per window "
+                        f"({n}), got shape {connected.shape}"
                     )
-                status = bool(systems.get(subject.subject_id, self.system).connected)
-                configuration = configuration_for(status)
+            if n == 0:
+                empty = table.configuration(status)
                 plans.append(
                     _ExecutionPlan(
-                        configuration=configuration,
+                        configuration=empty,
                         difficulties=np.empty(0, dtype=int),
                         model_codes=np.empty(0, dtype=np.intp),
                         offloaded=np.empty(0, dtype=bool),
-                        segments=[(0, configuration)],
+                        segments=[(0, empty)],
                     )
                 )
                 continue
-            if trace is not None:
-                plans.append(
-                    self._plan_traced(
-                        subject, constraint, trace, use_oracle_difficulty, route=route
-                    )
+            starts = np.flatnonzero(np.diff(connected, prepend=not connected[0]))
+            segments = [
+                (int(start), table.configuration(bool(connected[start])))
+                for start in starts
+            ]
+            difficulties = self._predicted_difficulty(subject, use_oracle_difficulty)
+            model_codes, offloaded = table.route(connected, difficulties)
+            plans.append(
+                _ExecutionPlan(
+                    configuration=segments[-1][1],
+                    difficulties=difficulties,
+                    model_codes=model_codes,
+                    offloaded=offloaded,
+                    segments=segments,
                 )
-            else:
-                status = bool(
-                    systems.get(subject.subject_id, self.system).connected
-                )
-                plans.append(
-                    self._plan_plain(
-                        subject,
-                        configuration_for(status),
-                        use_oracle_difficulty,
-                        route=route,
-                        connected=status,
-                    )
-                )
+            )
         return plans
 
     def model_window_counts(self, plans: "Sequence[_ExecutionPlan]") -> list[dict[str, int]]:
@@ -1273,41 +1013,25 @@ class CHRISRuntime:
         )
         return self.model_window_counts(plans)
 
-    # -------------------------------------------------------- mega execution
-    def _run_many_mega(
-        self,
-        subjects: Sequence[WindowedSubject],
-        constraint: Constraint,
-        use_oracle_difficulty: bool,
-        traces: Mapping[str, np.ndarray],
-        systems: Mapping[str, WearableSystem] | None = None,
-    ) -> FleetResult:
-        """Cross-subject mega-batched fleet replay.
-
-        Plans every subject individually, executes the whole population in
-        per-model groups, then splits the fleet arrays back into
-        per-subject :class:`RunResult` views (NumPy slices of the shared
-        arrays, so the split allocates nothing per subject).
-        """
-        _check_unique_subject_ids(s.subject_id for s in subjects)
-        plans = self._plan_fleet(
-            subjects, constraint, use_oracle_difficulty, traces, systems=systems
-        )
-        return self._run_many_planned(subjects, plans, systems=systems)
-
+    # ------------------------------------------------------------- execution
     def _run_many_planned(
         self,
         subjects: Sequence[WindowedSubject],
         plans: Sequence[_ExecutionPlan],
         systems: Mapping[str, WearableSystem] | None = None,
+        batched: bool = True,
         fleet_states: Mapping[str, "FleetState"] | None = None,
         fleet_slots: np.ndarray | None = None,
     ) -> FleetResult:
-        """Execute precomputed fleet plans (mega-batched).
+        """Execute precomputed fleet plans and split them into per-subject results.
 
-        Split out of :meth:`_run_many_mega` so fleet-executor workers can
-        replay a shard from plans computed once in the parent instead of
-        re-planning (and re-running difficulty inference) per shard.
+        ``batched`` picks the fleet-wide kernel (:meth:`_execute_fleet`)
+        or the per-window oracle (:meth:`_execute_scalar`); both return
+        fleet-wide arrays that are split into per-subject
+        :class:`RunResult` views (NumPy slices, so the split allocates
+        nothing per subject).  Fleet-executor shards and scheduler
+        batches call this with plans computed once by their parent, so
+        difficulty inference and routing never repeat.
 
         ``fleet_states``/``fleet_slots`` switch stateful predictors from
         fresh per-batch state to **streaming continuations**: instead of a
@@ -1317,18 +1041,20 @@ class CHRISRuntime:
         advanced slot values are written back — this is how the online
         scheduler feeds single arriving windows through ``predict_fleet``
         without replaying whole sessions (see
-        :meth:`repro.core.scheduler.FleetScheduler.open_stream`).
+        :meth:`repro.core.scheduler.FleetScheduler.open_stream`).  They
+        apply to the kernel only.
         """
-        self._reset_predictors()
-        predicted_hr, cost_arrays = self._execute_fleet(
-            subjects,
-            plans,
-            systems=systems,
-            fleet_states=fleet_states,
-            fleet_slots=fleet_slots,
-        )
-
         fleet = FleetResult()
+        if not subjects:
+            return fleet
+        systems = systems or {}
+        if batched:
+            predicted_hr, costs = self._execute_fleet(
+                subjects, plans, systems, fleet_states, fleet_slots
+            )
+        else:
+            predicted_hr, costs = self._execute_scalar(subjects, plans, systems)
+
         names = np.array(self.zoo.names, dtype=object)
         start = 0
         for subject, plan in zip(subjects, plans):
@@ -1346,22 +1072,61 @@ class CHRISRuntime:
                     true_hr=np.asarray(subject.hr, dtype=float).copy(),
                     configuration_segments=plan.segments,
                     **{
-                        field_name: array[start:end]
-                        for field_name, array in zip(_COST_FIELDS, cost_arrays)
+                        field_name: values[start:end]
+                        for field_name, values in zip(_COST_FIELDS, costs)
                     },
                 ),
             )
             start = end
         return fleet
 
+    def _execute_scalar(
+        self,
+        subjects: Sequence[WindowedSubject],
+        plans: Sequence[_ExecutionPlan],
+        systems: Mapping[str, WearableSystem],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Reference oracle: one ``predict_window`` call per window.
+
+        Predictor state is reset before every subject and every cost is
+        computed afresh (:meth:`~repro.hw.platform.WearableSystem.offloaded_cost`
+        / :meth:`~repro.hw.platform.WearableSystem.local_prediction_cost`),
+        exactly like replaying the subjects one at a time.
+        """
+        n_total = sum(s.n_windows for s in subjects)
+        entries = [self.zoo.entry(name) for name in self.zoo.names]
+        predicted_hr = np.empty(n_total, dtype=self.dtype)
+        costs = np.empty((len(_COST_FIELDS), n_total), dtype=float)
+        i = 0
+        for subject, plan in zip(subjects, plans):
+            system = systems.get(subject.subject_id, self.system)
+            self._reset_predictors()
+            for w in range(subject.n_windows):
+                entry = entries[plan.model_codes[w]]
+                predicted_hr[i] = float(
+                    entry.predictor.predict_window(
+                        subject.ppg_windows[w],
+                        subject.accel_windows[w],
+                        true_hr=float(subject.hr[w]),
+                        activity=int(subject.activity[w]),
+                    )
+                )
+                if plan.offloaded[w]:
+                    cost = system.offloaded_cost(entry.deployment)
+                else:
+                    cost = system.local_prediction_cost(entry.deployment)
+                costs[:, i] = _cost_values(cost)
+                i += 1
+        return predicted_hr, costs
+
     def _execute_fleet(
         self,
         subjects: Sequence[WindowedSubject],
         plans: Sequence[_ExecutionPlan],
-        systems: Mapping[str, WearableSystem] | None = None,
+        systems: Mapping[str, WearableSystem],
         fleet_states: Mapping[str, FleetState] | None = None,
         fleet_slots: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Execute all subjects' plans in per-model fleet-wide groups.
 
         Window order within each group is subject-major with recording
@@ -1371,180 +1136,112 @@ class CHRISRuntime:
         fuse into one batch ``predict`` per model; stateful predictors
         fuse into one ``predict_fleet`` per model with a subject-index
         vector and a fresh :class:`~repro.models.base.FleetState` whose
-        slots re-enact the per-subject ``reset()`` boundaries (or, with
-        ``stacked_state=False``, fall back to one batch per ``(model,
-        subject)`` segment).  Under the ``"tolerance"`` equivalence
-        policy, stateless-but-not-bit-stable predictors
-        (``TOLERANCE_FUSABLE``, the TimePPG TCNs) also fuse into one
-        plain batch ``predict`` — their predictions may then differ from
-        sequential replay within :data:`EQUIVALENCE_ATOL` /
+        slots re-enact the per-subject ``reset()`` boundaries.  Under the
+        ``"tolerance"`` equivalence policy, stateless-but-not-bit-stable
+        predictors (``TOLERANCE_FUSABLE``, the TimePPG TCNs) also fuse
+        into one plain batch ``predict`` — their predictions may then
+        differ from sequential replay within :data:`EQUIVALENCE_ATOL` /
         :data:`EQUIVALENCE_RTOL`, everything else stays bit-identical.
-
-        With heterogeneous ``systems`` the cost fill additionally groups
-        windows by hardware revision, so each ``(deployment, target)``
-        lookup happens once per revision for the whole fleet.
         """
+        self._reset_predictors()
         counts = [s.n_windows for s in subjects]
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        n_total = int(bounds[-1])
         window_slots = np.repeat(np.arange(len(subjects), dtype=np.intp), counts)
         model_codes = np.concatenate([p.model_codes for p in plans])
         offloaded = np.concatenate([p.offloaded for p in plans])
         hr = np.concatenate([np.asarray(s.hr, dtype=float) for s in subjects])
         activity = np.concatenate([np.asarray(s.activity, dtype=int) for s in subjects])
-        predicted_hr = np.empty(n_total, dtype=self.dtype)
+        predicted_hr = np.empty(model_codes.shape[0], dtype=self.dtype)
 
         for code, name in enumerate(self.zoo.names):
             predictor = self.zoo.entry(name).predictor
+            idx = np.flatnonzero(model_codes == code)
+            if idx.size == 0:
+                continue
+            if predictor.REQUIRES_SIGNALS:
+                ppg = np.concatenate(
+                    [s.ppg_windows[p.model_codes == code] for s, p in zip(subjects, plans)]
+                )
+                accel = np.concatenate(
+                    [s.accel_windows[p.model_codes == code] for s, p in zip(subjects, plans)]
+                )
+            else:
+                # Signal-free predictors only need the batch length;
+                # the template row comes from any non-empty subject
+                # (a fleet whose first subject has zero windows must
+                # not broadcast an empty template).
+                template = _fleet_signal_template(subjects)
+                ppg = np.broadcast_to(template, (idx.size,) + template.shape[1:])
+                accel = None
             # Stateless predictors fuse into one plain batch; under the
             # tolerance policy, stateless-but-not-bit-stable predictors
             # (TimePPG) do too — trading bitwise reproduction of their
             # predictions for one fused cross-subject forward.
-            plain_fused = predictor.FLEET_BATCHABLE or (
+            if predictor.FLEET_BATCHABLE or (
                 self.equivalence == "tolerance" and predictor.TOLERANCE_FUSABLE
-            )
-            if plain_fused or self.stacked_state:
-                if not predictor.FLEET_BATCHABLE:
-                    # Fused dispatch of a predictor sequential replay
-                    # would reset per subject: per-run instance state is
-                    # reset once; for the stacked-state path the
-                    # per-subject boundaries live in fresh state slots.
-                    predictor.reset()
-                idx = np.flatnonzero(model_codes == code)
-                if idx.size == 0:
-                    continue
-                if predictor.REQUIRES_SIGNALS:
-                    ppg = np.concatenate(
-                        [
-                            s.ppg_windows[p.model_codes == code]
-                            for s, p in zip(subjects, plans)
-                        ]
-                    )
-                    accel = np.concatenate(
-                        [
-                            s.accel_windows[p.model_codes == code]
-                            for s, p in zip(subjects, plans)
-                        ]
-                    )
-                else:
-                    # Signal-free predictors only need the batch length;
-                    # the template row comes from any non-empty subject
-                    # (a fleet whose first subject has zero windows must
-                    # not broadcast an empty template).
-                    template = _fleet_signal_template(subjects)
-                    ppg = np.broadcast_to(
-                        template, (idx.size,) + template.shape[1:]
-                    )
-                    accel = None
-                if plain_fused:
-                    predictions = predictor.predict(
-                        ppg, accel, true_hr=hr[idx], activity=activity[idx]
-                    )
-                else:
-                    # Streaming continuation: gather the batch's long-lived
-                    # slots into a batch-local sub-state (slots = batch
-                    # positions, monotone as predict_fleet requires) while
-                    # the windows keep arrival order — the order every
-                    # predictor's random stream consumes — then scatter
-                    # the advanced slot values back for the next batch.
-                    persistent = (
-                        fleet_states.get(name) if fleet_states is not None else None
-                    )
-                    if persistent is not None:
-                        batch_slots = np.asarray(fleet_slots, dtype=np.intp)
-                        state = persistent.take_slots(batch_slots)
-                    else:
-                        state = predictor.make_fleet_state(len(subjects))
-                    predictions = predictor.predict_fleet(
-                        ppg,
-                        accel,
-                        subject_index=window_slots[idx],
-                        state=state,
-                        true_hr=hr[idx],
-                        activity=activity[idx],
-                    )
-                    if persistent is not None:
-                        persistent.restore_slots(batch_slots, state)
-                predicted_hr[idx] = np.asarray(predictions, dtype=self.dtype)
+            ):
+                predictions = predictor.predict(
+                    ppg, accel, true_hr=hr[idx], activity=activity[idx]
+                )
             else:
-                for offset, subject, plan in zip(bounds[:-1], subjects, plans):
-                    # Sequential replay resets before every subject whether
-                    # or not this model receives windows from it.
-                    predictor.reset()
-                    local_idx = np.flatnonzero(plan.model_codes == code)
-                    if local_idx.size == 0:
-                        continue
-                    if predictor.REQUIRES_SIGNALS:
-                        ppg = subject.ppg_windows[local_idx]
-                        accel = subject.accel_windows[local_idx]
-                    else:
-                        ppg = np.broadcast_to(
-                            subject.ppg_windows[:1],
-                            (local_idx.size,) + subject.ppg_windows.shape[1:],
-                        )
-                        accel = None
-                    predictions = predictor.predict(
-                        ppg,
-                        accel,
-                        true_hr=np.asarray(subject.hr, dtype=float)[local_idx],
-                        activity=np.asarray(subject.activity, dtype=int)[local_idx],
-                    )
-                    predicted_hr[offset + local_idx] = np.asarray(predictions, dtype=self.dtype)
+                # Streaming continuation: gather the batch's long-lived
+                # slots into a batch-local sub-state (slots = batch
+                # positions, monotone as predict_fleet requires) while
+                # the windows keep arrival order — the order every
+                # predictor's random stream consumes — then scatter
+                # the advanced slot values back for the next batch.
+                persistent = (
+                    fleet_states.get(name) if fleet_states is not None else None
+                )
+                if persistent is not None:
+                    batch_slots = np.asarray(fleet_slots, dtype=np.intp)
+                    state = persistent.take_slots(batch_slots)
+                else:
+                    state = predictor.make_fleet_state(len(subjects))
+                predictions = predictor.predict_fleet(
+                    ppg,
+                    accel,
+                    subject_index=window_slots[idx],
+                    state=state,
+                    true_hr=hr[idx],
+                    activity=activity[idx],
+                )
+                if persistent is not None:
+                    persistent.restore_slots(batch_slots, state)
+            predicted_hr[idx] = np.asarray(predictions, dtype=self.dtype)
+        return predicted_hr, self._fill_costs(subjects, model_codes, offloaded, systems)
 
-        # Group subjects by the hardware that executes them; a homogeneous
-        # fleet collapses to one group and skips the per-group masking.
-        systems = systems or {}
-        group_systems: list[WearableSystem] = []
-        group_by_revision: dict[tuple, int] = {}
-        subject_groups = np.empty(len(subjects), dtype=np.intp)
+    def _fill_costs(
+        self,
+        subjects: Sequence[WindowedSubject],
+        model_codes: np.ndarray,
+        offloaded: np.ndarray,
+        systems: Mapping[str, WearableSystem],
+    ) -> np.ndarray:
+        """Per-window costs, ``(cost field, window)``, by one table gather.
+
+        The table has one column per ``(hardware revision, model,
+        target)``; only the columns the plans route to are looked up, each
+        once per revision through the system's cost registry.
+        """
+        revisions: dict[tuple, int] = {}
+        revision_systems: list[WearableSystem] = []
+        subject_revisions = np.empty(len(subjects), dtype=np.intp)
         for i, subject in enumerate(subjects):
             system = systems.get(subject.subject_id, self.system)
-            revision = system.hardware_revision()
-            gid = group_by_revision.get(revision)
-            if gid is None:
-                gid = len(group_systems)
-                group_by_revision[revision] = gid
-                group_systems.append(system)
-            subject_groups[i] = gid
-        if len(group_systems) > 1:
-            window_groups = np.repeat(subject_groups, counts)
-            group_masks = [window_groups == gid for gid in range(len(group_systems))]
-        else:
-            group_masks = [None]
-
-        if len(group_systems) == 1:
-            # Homogeneous fleet: fill costs through a small per-(model,
-            # target) value table and one gather per cost field instead
-            # of a boolean mask pass per combination.  Only combinations
-            # the plan actually routes are looked up (and memoized).
-            system = group_systems[0]
-            packed = model_codes * 2 + offloaded
-            lut = np.zeros((2 * len(self.zoo.names), len(_COST_FIELDS)))
-            for key in np.flatnonzero(
-                np.bincount(packed, minlength=lut.shape[0])
-            ):
-                code, is_offloaded = divmod(int(key), 2)
-                target = ExecutionTarget.PHONE if is_offloaded else ExecutionTarget.WATCH
-                cost = system.cached_prediction_cost(
-                    self.zoo.entry(self.zoo.names[code]).deployment, target
-                )
-                lut[key] = _cost_values(cost)
-            cost_arrays = tuple(lut[packed, j] for j in range(len(_COST_FIELDS)))
-            return predicted_hr, cost_arrays
-
-        cost_arrays = tuple(np.empty(n_total, dtype=float) for _ in _COST_FIELDS)
-        for code, name in enumerate(self.zoo.names):
-            deployment = self.zoo.entry(name).deployment
-            for is_offloaded in (False, True):
-                base_mask = (model_codes == code) & (offloaded == is_offloaded)
-                if not np.any(base_mask):
-                    continue
-                target = ExecutionTarget.PHONE if is_offloaded else ExecutionTarget.WATCH
-                for system, group_mask in zip(group_systems, group_masks):
-                    mask = base_mask & group_mask
-                    if not np.any(mask):
-                        continue
-                    cost = system.cached_prediction_cost(deployment, target)
-                    for array, value in zip(cost_arrays, _cost_values(cost)):
-                        array[mask] = value
-        return predicted_hr, cost_arrays
+            revision = revisions.setdefault(system.hardware_revision(), len(revisions))
+            if revision == len(revision_systems):
+                revision_systems.append(system)
+            subject_revisions[i] = revision
+        n_models = len(self.zoo.names)
+        window_revisions = np.repeat(subject_revisions, [s.n_windows for s in subjects])
+        keys = (window_revisions * n_models + model_codes) * 2 + offloaded
+        table = np.zeros((len(_COST_FIELDS), 2 * n_models * len(revision_systems)))
+        for key in np.flatnonzero(np.bincount(keys, minlength=table.shape[1])):
+            revision, model_target = divmod(int(key), 2 * n_models)
+            code, is_offloaded = divmod(model_target, 2)
+            cost = revision_systems[revision].cached_prediction_cost(
+                self.zoo.entry(self.zoo.names[code]).deployment,
+                ExecutionTarget.PHONE if is_offloaded else ExecutionTarget.WATCH,
+            )
+            table[:, key] = _cost_values(cost)
+        return table[:, keys]

@@ -17,7 +17,8 @@ Execution model
 A dispatcher thread drains the arrival queue into *batches*: every
 session waiting when the dispatcher wakes (bounded by
 ``max_batch_size``) is planned and executed as one cross-subject
-mega-batch (:meth:`~repro.core.runtime.CHRISRuntime._run_many_planned`),
+mega-batch through the runtime's fleet kernel
+(:meth:`~repro.core.runtime.CHRISRuntime._run_many_planned`),
 dispatched onto a bounded worker pool of ``max_workers`` threads.
 Stateful predictors ride the same fused path: each mega-batch allocates
 a stacked :class:`~repro.models.base.FleetState` with one state slot
@@ -25,8 +26,8 @@ per session it fuses — an arriving session gets a fresh slot in the
 batch that executes it, and a session retired while still queued is
 never planned and never occupies one.  Under
 load, arrivals therefore coalesce into large fused ``predict`` calls —
-the same amortization that makes mega-batched ``run_many`` several times
-faster than per-subject replay — while a lightly loaded scheduler
+the same amortization that makes fleet-wide ``run_many`` several times
+faster than a per-subject ``run_many`` loop — while a lightly loaded scheduler
 degenerates to one small batch per arrival with minimal latency.
 
 Serving policies and latency
@@ -61,8 +62,7 @@ Pushes that are still queued coalesce in place (one growing window
 batch per stream), which keeps at most one queued session per stream
 and lets the deadline policy fuse an entire SLO window's worth of
 arrivals into one mega-batch.  Streaming requires ``max_workers=1``
-(continuations serialize on the long-lived state) and a
-``stacked_state`` runtime.
+(continuations serialize on the long-lived state).
 
 Equivalence contract
 --------------------
@@ -546,18 +546,12 @@ class FleetScheduler:
 
         Requires ``max_workers=1`` — continuations serialize on the
         long-lived state, which is exactly the single-worker execution
-        order — and a ``stacked_state`` runtime (the per-(model, subject)
-        fallback path has no state slots to continue).
+        order.
         """
         if self.max_workers != 1:
             raise ValueError(
                 "streaming dispatch requires max_workers=1: predict_fleet "
                 "continuations serialize on the long-lived state slots"
-            )
-        if not self._runtime.stacked_state:
-            raise ValueError(
-                "streaming dispatch requires a stacked_state runtime "
-                "(state slots are what carries a stream across batches)"
             )
         with self._lock:
             if self._closed:
@@ -863,8 +857,6 @@ class FleetScheduler:
             system=self._runtime.system,
             activity_classifier=self._runtime.activity_classifier,
             batched=self._runtime.batched,
-            mega_batched=self._runtime.mega_batched,
-            stacked_state=self._runtime.stacked_state,
             equivalence=self._runtime.equivalence,
             dtype=self._runtime.dtype,
         )

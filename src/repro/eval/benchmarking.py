@@ -31,6 +31,7 @@ from repro.core.runtime import (
     EQUIVALENCE_ATOL,
     EQUIVALENCE_RTOL,
     EQUIVALENCE_TOLERANCES,
+    FleetResult,
 )
 from repro.core.scheduler import FleetScheduler, SessionState
 from repro.core.zoo import ModelsZoo, ZooEntry
@@ -171,6 +172,24 @@ def synthetic_fleet(
     return fleet
 
 
+def per_subject_replay(
+    runtime: CHRISRuntime, subjects, constraint: Constraint, **run_kwargs
+) -> FleetResult:
+    """Sequential fleet replay: one ``run_many([subject])`` call per subject.
+
+    The per-subject dispatch shape the fleet-wide kernel is measured
+    against — every subject pays its own planning, kernel dispatch and
+    result assembly.  Decision-identical to one ``run_many`` over the
+    whole fleet, because cross-run predictor state advances across the
+    calls exactly as it does across subjects.
+    """
+    fleet = FleetResult()
+    for subject in subjects:
+        result = runtime.run_many([subject], constraint, **run_kwargs)
+        fleet.add(subject.subject_id, result.results[subject.subject_id])
+    return fleet
+
+
 def benchmark_fleet(
     experiment,
     n_subjects: int = 50,
@@ -180,14 +199,15 @@ def benchmark_fleet(
     repeats: int = 3,
     max_workers: int | None = None,
 ) -> dict:
-    """Measure fleet-replay throughput: sequential vs mega-batched vs pool.
+    """Measure fleet-replay throughput: per-subject loop vs fleet kernel vs pool.
 
     Three paths replay the same ``n_subjects`` x ``n_windows_per_subject``
     fleet:
 
-    * **sequential** — per-subject batched replay (the PR-1 baseline);
-    * **mega** — cross-subject mega-batching: one ``predict`` call per
-      model for the entire population, in-process;
+    * **sequential** — :func:`per_subject_replay`, one ``run_many``
+      call per subject;
+    * **mega** — one ``run_many`` over the whole fleet: one fused call
+      per model for the entire population, in-process;
     * **pool** — :class:`~repro.core.fleet.FleetExecutor` sharding across
       ``max_workers`` worker processes (``os.cpu_count()`` by default).
 
@@ -218,14 +238,12 @@ def benchmark_fleet(
         return result, best
 
     sequential, sequential_s = timed(
-        lambda rt: rt.run_many(
-            subjects, constraint, use_oracle_difficulty=True, mega_batched=False
+        lambda rt: per_subject_replay(
+            rt, subjects, constraint, use_oracle_difficulty=True
         )
     )
     mega, mega_s = timed(
-        lambda rt: rt.run_many(
-            subjects, constraint, use_oracle_difficulty=True, mega_batched=True
-        )
+        lambda rt: rt.run_many(subjects, constraint, use_oracle_difficulty=True)
     )
     pool, pool_s = timed(
         lambda rt: FleetExecutor(rt, max_workers=workers).run_fleet(
@@ -269,13 +287,13 @@ def stateful_zoo(
     Every predictor becomes a stateful tracker (``FLEET_BATCHABLE =
     False``): the ``spectral`` deployment gets a real
     :class:`~repro.models.spectral_tracker.SpectralHRPredictor` (a
-    signal-reading tracker whose per-window path cannot be batched by
-    the legacy dispatch — its tracking recurrence forces one
-    ``predict_window`` per window), the others become
+    signal-reading tracker: outside the stacked ``predict_fleet`` its
+    tracking recurrence forces one ``predict_window`` per window), the
+    others become
     :class:`~repro.models.error_model.SmoothedCalibratedHRModel` twins
     continuing the original's exact random stream.  Deployments are
     untouched, so engine configurations stay valid.  This is the zoo the
-    stacked-state fleet benchmark and equivalence tests replay.
+    stateful fleet benchmark and equivalence tests replay.
     """
     twin = ModelsZoo()
     for entry in zoo:
@@ -298,27 +316,26 @@ def benchmark_stateful_fleet(
     repeats: int = 3,
     smoothing: float = 0.5,
 ) -> dict:
-    """Measure stacked-state fused dispatch against the per-subject fallback.
+    """Measure stacked-state fused dispatch against the scalar oracle.
 
     The whole zoo is made stateful (:func:`stateful_zoo`: a spectral
     tracker plus smoothed calibrated trackers, all ``FLEET_BATCHABLE =
     False``), so *every* window rides the stateful dispatch.  Two paths
     replay the same fleet from identical predictor state:
 
-    * **fallback** — mega-batched with ``stacked_state=False``: one
-      batch per ``(model, subject)`` segment, each replaying its stream
-      sequentially (the pre-stacked-state behaviour; for the spectral
-      tracker that means one Python ``predict_window`` — and its FFTs —
-      per window);
-    * **stacked** — mega-batched with ``stacked_state=True``: one fused
-      ``predict_fleet`` call per model — state-free work (spectra, error
-      draws) vectorized over the whole stack, the tracking recurrences
-      advancing all subjects in lock-step.
+    * **scalar** — the per-window oracle (``batched=False``): one
+      ``predict_window`` — for the spectral tracker, one set of FFTs —
+      per window;
+    * **stacked** — the fleet kernel: one fused ``predict_fleet`` call
+      per model — state-free work (spectra, error draws) vectorized over
+      the whole stack, the tracking recurrences advancing all subjects
+      in lock-step.
 
-    The fallback is timed once (it is a multi-second measurement, where
-    run-to-run noise is negligible); the stacked path reports the best
-    of ``repeats``.  A ``decisions_identical`` flag confirms the two
-    dispatches replayed every window bit-identically.
+    The scalar oracle is timed once (it is a multi-second measurement,
+    where run-to-run noise is negligible); the stacked path reports the
+    best of ``repeats``.  A ``decisions_identical`` flag confirms the
+    two replayed every window bit-identically.  No accuracy is reported:
+    the workload's signals are white noise.
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -330,7 +347,7 @@ def benchmark_stateful_fleet(
     configuration = experiment.engine.select_or_closest(constraint, connected=True)
     zoo = stateful_zoo(experiment.zoo, smoothing=smoothing)
 
-    def timed(stacked_state: bool, n_repeats: int):
+    def timed(batched: bool, n_repeats: int):
         best = float("inf")
         result = None
         for _ in range(n_repeats):
@@ -338,21 +355,19 @@ def benchmark_stateful_fleet(
                 zoo=copy.deepcopy(zoo),
                 engine=experiment.engine,
                 system=experiment.system,
-                stacked_state=stacked_state,
             )
             start = time.perf_counter()
             result = runtime.run_many(
-                subjects, constraint, use_oracle_difficulty=True, mega_batched=True
+                subjects, constraint, use_oracle_difficulty=True, batched=batched
             )
             best = min(best, time.perf_counter() - start)
         return result, best
 
-    fallback, fallback_s = timed(stacked_state=False, n_repeats=1)
-    stacked, stacked_s = timed(stacked_state=True, n_repeats=repeats)
+    scalar, scalar_s = timed(batched=False, n_repeats=1)
+    stacked, stacked_s = timed(batched=True, n_repeats=repeats)
 
-    decisions_identical = fallback.subject_ids == stacked.subject_ids and all(
-        fallback.results[sid] == stacked.results[sid]
-        for sid in fallback.subject_ids
+    decisions_identical = scalar.subject_ids == stacked.subject_ids and all(
+        scalar.results[sid] == stacked.results[sid] for sid in scalar.subject_ids
     )
     return {
         "n_subjects": int(n_subjects),
@@ -363,12 +378,11 @@ def benchmark_stateful_fleet(
             1 for entry in zoo if not entry.predictor.FLEET_BATCHABLE
         ),
         "smoothing": float(smoothing),
-        "fallback_seconds": fallback_s,
+        "scalar_seconds": scalar_s,
         "stacked_seconds": stacked_s,
-        "fallback_windows_per_s": n_windows_total / fallback_s,
+        "scalar_windows_per_s": n_windows_total / scalar_s,
         "stacked_windows_per_s": n_windows_total / stacked_s,
-        "stacked_speedup": fallback_s / stacked_s,
-        "mae_bpm": stacked.mae_bpm,
+        "stacked_speedup": scalar_s / stacked_s,
         "offload_fraction": stacked.offload_fraction,
         "decisions_identical": bool(decisions_identical),
     }
@@ -431,11 +445,11 @@ def benchmark_inference(
       deployed semantics — what folding must preserve — are the
       evaluation forward's.
     * **Tolerance-fused fleet** — a fleet whose TimePPG-Big is a real
-      TCN, replayed mega-batched under ``equivalence="bitwise"``
+      TCN, replayed by one ``run_many`` under ``equivalence="bitwise"``
       (per-subject forward batches) and ``equivalence="tolerance"`` (one
       fused cross-subject batch per call), with a
       ``within_documented_tolerance`` flag checked against sequential
-      replay.
+      replay (:func:`per_subject_replay`).
 
     Every timed path reports the best of ``repeats``; the scalar AT
     reference is timed once (a multi-second measurement).
@@ -507,29 +521,29 @@ def benchmark_inference(
     fleet_windows = sum(s.n_windows for s in subjects)
     zoo = timeppg_zoo(experiment.zoo, seed=seed)
 
-    def timed_fleet(equivalence: str, mega_batched: bool = True, n_repeats=repeats):
+    def fleet_runtime(equivalence: str) -> CHRISRuntime:
+        return CHRISRuntime(
+            zoo=copy.deepcopy(zoo),
+            engine=experiment.engine,
+            system=experiment.system,
+            equivalence=equivalence,
+        )
+
+    def timed_fleet(equivalence: str):
         best = float("inf")
         result = None
-        for _ in range(n_repeats):
-            runtime = CHRISRuntime(
-                zoo=copy.deepcopy(zoo),
-                engine=experiment.engine,
-                system=experiment.system,
-                equivalence=equivalence,
-            )
+        for _ in range(repeats):
+            runtime = fleet_runtime(equivalence)
             start = time.perf_counter()
-            result = runtime.run_many(
-                subjects,
-                constraint,
-                use_oracle_difficulty=True,
-                mega_batched=mega_batched,
-            )
+            result = runtime.run_many(subjects, constraint, use_oracle_difficulty=True)
             best = min(best, time.perf_counter() - start)
         return result, best
 
     # The sequential reference is untimed — run it once, like the scalar
     # AT reference above.
-    sequential, _ = timed_fleet("bitwise", mega_batched=False, n_repeats=1)
+    sequential = per_subject_replay(
+        fleet_runtime("bitwise"), subjects, constraint, use_oracle_difficulty=True
+    )
     bitwise, bitwise_s = timed_fleet("bitwise")
     tolerance, tolerance_s = timed_fleet("tolerance")
 
@@ -734,8 +748,8 @@ def benchmark_scheduler(
     The same ``n_subjects`` x ``n_windows_per_subject`` fleet is replayed
     twice:
 
-    * **sequential** — per-subject batched ``run_many`` replay (the same
-      baseline :func:`benchmark_fleet` pins the mega path against);
+    * **sequential** — :func:`per_subject_replay` (the same baseline
+      :func:`benchmark_fleet` pins the fleet-wide path against);
     * **scheduler** — every subject submitted as a dynamic session to a
       :class:`~repro.core.scheduler.FleetScheduler`; the timing covers
       submission, batch dispatch and completion of the whole population
@@ -766,8 +780,8 @@ def benchmark_scheduler(
         return result, best
 
     sequential, sequential_s = timed(
-        lambda rt: rt.run_many(
-            subjects, constraint, use_oracle_difficulty=True, mega_batched=False
+        lambda rt: per_subject_replay(
+            rt, subjects, constraint, use_oracle_difficulty=True
         )
     )
 

@@ -209,7 +209,6 @@ class CalibratedExperiment:
         self,
         activity_classifier: ActivityClassifier | None = None,
         batched: bool = True,
-        mega_batched: bool = True,
         equivalence: str | None = None,
         dtype: str = "float64",
     ) -> CHRISRuntime:
@@ -228,7 +227,6 @@ class CalibratedExperiment:
             system=self.system,
             activity_classifier=activity_classifier,
             batched=batched,
-            mega_batched=mega_batched,
             equivalence=equivalence,
             dtype=dtype,
         )
@@ -237,7 +235,6 @@ class CalibratedExperiment:
         self,
         max_workers: int | None = None,
         activity_classifier: ActivityClassifier | None = None,
-        mega_batched: bool = True,
         shards_per_worker: int = 4,
         equivalence: str | None = None,
         dtype: str = "float64",
@@ -246,13 +243,11 @@ class CalibratedExperiment:
         return FleetExecutor(
             self.runtime(
                 activity_classifier=activity_classifier,
-                mega_batched=mega_batched,
                 equivalence=equivalence,
                 dtype=dtype,
             ),
             max_workers=max_workers,
             shards_per_worker=shards_per_worker,
-            mega_batched=mega_batched,
         )
 
     def fleet_scheduler(
@@ -290,16 +285,16 @@ class CalibratedExperiment:
         use_oracle_difficulty: bool = True,
         activity_classifier: ActivityClassifier | None = None,
         batched: bool = True,
-        mega_batched: bool = True,
         max_workers: int | None = None,
         scheduler: FleetScheduler | None = None,
     ) -> FleetResult:
         """Replay every subject of a corpus through the fleet engine.
 
         The multi-subject entry point used by the benchmarks and examples.
-        By default the corpus is replayed in-process with cross-subject
-        mega-batching; passing ``max_workers > 1`` shards the subjects
-        across a :class:`~repro.core.fleet.FleetExecutor` process pool.
+        By default the corpus is replayed in-process through the
+        runtime's fleet kernel (``batched=False``: its per-window oracle);
+        passing ``max_workers > 1`` shards the subjects across a
+        :class:`~repro.core.fleet.FleetExecutor` process pool.
         ``max_workers`` is purely a throughput knob: every path produces
         decision-for-decision identical results, and no path mutates the
         experiment's predictors (the executor replays pristine copies), so
@@ -318,7 +313,7 @@ class CalibratedExperiment:
         *decisions* (``constraint``, ``use_oracle_difficulty``,
         ``activity_classifier``) are validated against it and a conflict
         raises, while the pure throughput knobs (``batched``,
-        ``mega_batched``, ``max_workers``) are ignored — every execution
+        ``max_workers``) are ignored — every execution
         path makes identical decisions regardless.  Note that a
         scheduler's predictor streams advance across calls (online
         semantics), unlike the executor paths.
@@ -361,7 +356,6 @@ class CalibratedExperiment:
         executor = self.fleet_executor(
             max_workers=max_workers if max_workers is not None else 1,
             activity_classifier=activity_classifier,
-            mega_batched=mega_batched,
         )
         return executor.run_fleet(
             dataset.subjects,

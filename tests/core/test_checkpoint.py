@@ -30,8 +30,8 @@ from tests.core.test_runtime_batched import assert_results_identical
 
 @pytest.fixture(scope="module")
 def reference_fleet(calibrated_experiment, small_dataset):
-    """Uninterrupted sequential reference every recovery must reproduce."""
-    return make_runtime(calibrated_experiment, mega_batched=False).run_many(
+    """Uninterrupted scalar-oracle reference every recovery must reproduce."""
+    return make_runtime(calibrated_experiment, batched=False).run_many(
         small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
     )
 
@@ -41,7 +41,7 @@ def checkpointed_executor(experiment, directory, **kwargs):
     kwargs.setdefault("max_workers", 2)
     kwargs.setdefault("shards_per_worker", 2)
     return FleetExecutor(
-        make_runtime(experiment, mega_batched=True),
+        make_runtime(experiment),
         checkpoint_dir=directory,
         retry_backoff_s=0.0,
         **kwargs,
@@ -457,7 +457,7 @@ class TestCheckpointedExecution:
             TestZeroWindowSubjects.empty_subject(template, "empty-mid"),
             small_dataset.subjects[1],
         ]
-        reference = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        reference = make_runtime(calibrated_experiment, batched=False).run_many(
             fleet_subjects, CONSTRAINT, use_oracle_difficulty=True
         )
         directory = tmp_path / "ckpt"
@@ -480,7 +480,7 @@ class TestRetryAndQuarantine:
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
             retry_backoff_s=0.0,
@@ -499,7 +499,7 @@ class TestRetryAndQuarantine:
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
             max_retries=1,
@@ -526,7 +526,7 @@ class TestRetryAndQuarantine:
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
             retry_backoff_s=0.0,
@@ -552,7 +552,7 @@ class TestRetryAndQuarantine:
         the contract is degrade-don't-die plus an attributable cause.
         """
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
             max_retries=0,
@@ -594,7 +594,7 @@ class TestRetryAndQuarantine:
         assert_fleets_identical(reference_fleet, healed)
 
     def test_retry_validation(self, calibrated_experiment):
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        runtime = make_runtime(calibrated_experiment)
         with pytest.raises(ValueError):
             FleetExecutor(runtime, max_retries=-1)
         with pytest.raises(ValueError):

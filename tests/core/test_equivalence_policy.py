@@ -122,10 +122,10 @@ class TestResults:
     def test_bitwise_mega_is_bit_identical_with_real_timeppg(self):
         subjects = small_fleet()
         sequential = timeppg_runtime("bitwise").run_many(
-            subjects, CONSTRAINT, use_oracle_difficulty=True, mega_batched=False
+            subjects, CONSTRAINT, use_oracle_difficulty=True, batched=False
         )
         mega = timeppg_runtime("bitwise").run_many(
-            subjects, CONSTRAINT, use_oracle_difficulty=True, mega_batched=True
+            subjects, CONSTRAINT, use_oracle_difficulty=True
         )
         for sid in sequential.subject_ids:
             assert_results_identical(sequential.results[sid], mega.results[sid])
@@ -134,10 +134,10 @@ class TestResults:
         subjects = small_fleet()
         runtime = timeppg_runtime("tolerance")
         sequential = timeppg_runtime("tolerance").run_many(
-            subjects, CONSTRAINT, use_oracle_difficulty=True, mega_batched=False
+            subjects, CONSTRAINT, use_oracle_difficulty=True, batched=False
         )
         mega = runtime.run_many(
-            subjects, CONSTRAINT, use_oracle_difficulty=True, mega_batched=True
+            subjects, CONSTRAINT, use_oracle_difficulty=True
         )
         fused = tolerance_fused_models(runtime)
         assert "TimePPG-Big" in fused

@@ -1,13 +1,13 @@
-"""Fleet execution engine tests: mega-batching, pool sharding, streaming.
+"""Fleet execution engine tests: the fleet kernel, pool sharding, streaming.
 
-Every fast fleet path — cross-subject mega-batching in one process and
+Every fast fleet path — the fleet-wide kernel in one process and
 process-pool sharding via :class:`FleetExecutor` — must produce a
-:class:`FleetResult` bit-identical to sequential per-subject
-``run_many``: same per-window decisions, predictions, costs, MAE and
-energy, including fleets with per-subject BLE connection traces.  The
-paths are compared on independent deep copies of the zoo so every run
-starts from identical predictor state (including the calibrated models'
-random streams).
+:class:`FleetResult` bit-identical to the scalar per-window oracle
+(``batched=False``): same per-window decisions, predictions, costs, MAE
+and energy, including fleets with per-subject BLE connection traces.
+The paths are compared on independent deep copies of the zoo so every
+run starts from identical predictor state (including the calibrated
+models' random streams).
 """
 
 import copy
@@ -25,13 +25,13 @@ from tests.core.test_runtime_batched import assert_results_identical
 CONSTRAINT = Constraint.max_mae(6.0)
 
 
-def make_runtime(experiment, mega_batched: bool) -> CHRISRuntime:
+def make_runtime(experiment, batched: bool = True) -> CHRISRuntime:
     """A runtime over a private deep copy of the experiment's zoo."""
     return CHRISRuntime(
         zoo=copy.deepcopy(experiment.zoo),
         engine=experiment.engine,
         system=experiment.system,
-        mega_batched=mega_batched,
+        batched=batched,
     )
 
 
@@ -54,7 +54,7 @@ def half_disconnected_trace(n: int) -> np.ndarray:
 
 @pytest.fixture()
 def sequential_fleet(calibrated_experiment, small_dataset) -> FleetResult:
-    return make_runtime(calibrated_experiment, mega_batched=False).run_many(
+    return make_runtime(calibrated_experiment, batched=False).run_many(
         small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
     )
 
@@ -63,7 +63,7 @@ class TestMegaBatchedEquivalence:
     def test_mega_identical_to_sequential(
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
-        mega = make_runtime(calibrated_experiment, mega_batched=True).run_many(
+        mega = make_runtime(calibrated_experiment).run_many(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
         )
         assert_fleets_identical(sequential_fleet, mega)
@@ -76,13 +76,13 @@ class TestMegaBatchedEquivalence:
             subject.subject_id: half_disconnected_trace(subject.n_windows)
             for subject in small_dataset.subjects[::2]
         }
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        sequential = make_runtime(calibrated_experiment, batched=False).run_many(
             small_dataset.subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
             connected_traces=traces,
         )
-        mega = make_runtime(calibrated_experiment, mega_batched=True).run_many(
+        mega = make_runtime(calibrated_experiment).run_many(
             small_dataset.subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
@@ -96,8 +96,8 @@ class TestMegaBatchedEquivalence:
         self, calibrated_experiment, small_dataset, trained_activity_classifier
     ):
         fleets = []
-        for mega in (False, True):
-            runtime = make_runtime(calibrated_experiment, mega_batched=mega)
+        for batched in (False, True):
+            runtime = make_runtime(calibrated_experiment, batched=batched)
             runtime.activity_classifier = trained_activity_classifier
             fleets.append(
                 runtime.run_many(
@@ -109,14 +109,14 @@ class TestMegaBatchedEquivalence:
     def test_mega_identical_with_non_fleet_batchable_predictor(
         self, calibrated_experiment, small_dataset
     ):
-        """The stateful fallback (per-(model, subject) segments with
-        re-enacted reset boundaries) must also be decision-identical."""
+        """Stateful dispatch through the base ``predict_fleet`` (per-subject
+        replay with re-enacted reset boundaries) is decision-identical."""
         fleets = []
-        for mega in (False, True):
-            runtime = make_runtime(calibrated_experiment, mega_batched=mega)
+        for batched in (False, True):
+            runtime = make_runtime(calibrated_experiment, batched=batched)
             # Force one model through the stateful-predictor path; the
             # calibrated model's predictions are reset-insensitive, so
-            # segment-wise dispatch must reproduce the fused result.
+            # the per-slot dispatch must reproduce the oracle.
             runtime.zoo.entry("TimePPG-Big").predictor.FLEET_BATCHABLE = False
             fleets.append(
                 runtime.run_many(
@@ -125,16 +125,16 @@ class TestMegaBatchedEquivalence:
             )
         assert_fleets_identical(*fleets)
         counts = fleets[1].results[small_dataset.subjects[0].subject_id].per_model_counts()
-        assert counts.get("TimePPG-Big", 0) > 0  # the fallback branch ran
+        assert counts.get("TimePPG-Big", 0) > 0  # the stateful dispatch ran
 
     def test_mega_rejects_duplicate_subjects(self, calibrated_experiment, small_dataset):
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        runtime = make_runtime(calibrated_experiment)
         subject = small_dataset.subjects[0]
         with pytest.raises(ValueError):
             runtime.run_many([subject, subject], CONSTRAINT, use_oracle_difficulty=True)
 
     def test_trace_for_unknown_subject_rejected(self, calibrated_experiment, small_dataset):
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        runtime = make_runtime(calibrated_experiment)
         with pytest.raises(KeyError):
             runtime.run_many(
                 small_dataset.subjects,
@@ -146,9 +146,7 @@ class TestMegaBatchedEquivalence:
     def test_planned_counts_match_executed_routing(
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
-        counts = make_runtime(
-            calibrated_experiment, mega_batched=True
-        ).planned_model_window_counts(
+        counts = make_runtime(calibrated_experiment).planned_model_window_counts(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
         )
         for subject, planned in zip(small_dataset.subjects, counts):
@@ -162,7 +160,7 @@ class TestFleetExecutor:
     ):
         """Sharded multi-process replay is bit-identical, workers > 1."""
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
         )
@@ -178,14 +176,14 @@ class TestFleetExecutor:
             subject.subject_id: half_disconnected_trace(subject.n_windows)
             for subject in small_dataset.subjects[1::2]
         }
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        sequential = make_runtime(calibrated_experiment, batched=False).run_many(
             small_dataset.subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
             connected_traces=traces,
         )
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         parallel = executor.run_fleet(
             small_dataset.subjects,
@@ -201,12 +199,12 @@ class TestFleetExecutor:
         """Shipped plans carry the classifier's difficulty stream; workers
         must not re-infer (they would get the same answer, but the test
         pins that the parent-planned path stays decision-identical)."""
-        reference_runtime = make_runtime(calibrated_experiment, mega_batched=False)
+        reference_runtime = make_runtime(calibrated_experiment, batched=False)
         reference_runtime.activity_classifier = trained_activity_classifier
         sequential = reference_runtime.run_many(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=False
         )
-        pooled_runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        pooled_runtime = make_runtime(calibrated_experiment)
         pooled_runtime.activity_classifier = trained_activity_classifier
         parallel = FleetExecutor(pooled_runtime, max_workers=2).run_fleet(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=False
@@ -217,7 +215,7 @@ class TestFleetExecutor:
         self, calibrated_experiment, small_dataset
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         with pytest.raises(KeyError):
             list(
@@ -233,7 +231,7 @@ class TestFleetExecutor:
         self, calibrated_experiment, small_dataset
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
         )
@@ -248,7 +246,7 @@ class TestFleetExecutor:
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
         )
@@ -266,13 +264,13 @@ class TestFleetExecutor:
         streams, so back-to-back runs are bit-identical whatever the
         worker count."""
         pooled = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         first = pooled.run_fleet(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True)
         second = pooled.run_fleet(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True)
         assert_fleets_identical(first, second)
         in_process = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=1
+            make_runtime(calibrated_experiment), max_workers=1
         )
         assert_fleets_identical(
             first,
@@ -283,7 +281,7 @@ class TestFleetExecutor:
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=1
+            make_runtime(calibrated_experiment), max_workers=1
         )
         fleet = executor.run_fleet(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
@@ -292,7 +290,7 @@ class TestFleetExecutor:
 
     def test_shard_bounds_partition_subjects(self, calibrated_experiment):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=3,
             shards_per_worker=2,
         )
@@ -305,14 +303,14 @@ class TestFleetExecutor:
 
     def test_duplicate_subjects_rejected(self, calibrated_experiment, small_dataset):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         subject = small_dataset.subjects[0]
         with pytest.raises(ValueError):
             list(executor.iter_runs([subject, subject], CONSTRAINT))
 
     def test_validation(self, calibrated_experiment):
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        runtime = make_runtime(calibrated_experiment)
         with pytest.raises(ValueError):
             FleetExecutor(runtime, max_workers=0)
         with pytest.raises(ValueError):
@@ -320,7 +318,7 @@ class TestFleetExecutor:
 
     def test_empty_fleet(self, calibrated_experiment):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         assert list(executor.iter_runs([], CONSTRAINT)) == []
         assert executor.run_fleet([], CONSTRAINT).n_subjects == 0
@@ -345,14 +343,14 @@ class TestHeterogeneousFleets:
         """One executor now serves a mixed-revision population directly —
         no more one-executor-per-revision (cf. examples/fleet_simulation)."""
         registry, systems = self.make_systems(small_dataset)
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        sequential = make_runtime(calibrated_experiment, batched=False).run_many(
             small_dataset.subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
             systems=systems,
         )
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
         )
@@ -376,7 +374,7 @@ class TestHeterogeneousFleets:
         self, calibrated_experiment, small_dataset
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True), max_workers=2
+            make_runtime(calibrated_experiment), max_workers=2
         )
         with pytest.raises(KeyError, match="systems for unknown subjects"):
             list(
@@ -387,7 +385,7 @@ class TestHeterogeneousFleets:
                     systems={"nobody": WearableSystem()},
                 )
             )
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
+        runtime = make_runtime(calibrated_experiment)
         with pytest.raises(KeyError, match="systems for unknown subjects"):
             runtime.run_many(
                 small_dataset.subjects,
@@ -441,7 +439,7 @@ class TestSharedSubjectStore:
     ):
         """A spawn pool (shared memory on by default) replays identically."""
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=1,
             start_method="spawn",
@@ -458,7 +456,7 @@ class TestExperimentWiring:
         models' random streams advance across runs, so sharing one zoo
         between the two calls would change the second's predictions."""
         sequential = copy.deepcopy(calibrated_experiment).run_fleet(
-            small_dataset, CONSTRAINT, mega_batched=False
+            small_dataset, CONSTRAINT, batched=False
         )
         pooled = copy.deepcopy(calibrated_experiment).run_fleet(
             small_dataset, CONSTRAINT, max_workers=2
@@ -479,7 +477,7 @@ class TestExperimentWiring:
             fold_size=2,
             max_folds=2,
             chris_runtime=FleetExecutor(
-                make_runtime(calibrated_experiment, mega_batched=True), max_workers=1
+                make_runtime(calibrated_experiment), max_workers=1
             ),
             chris_constraint=CONSTRAINT,
         )
@@ -490,7 +488,7 @@ class TestExperimentWiring:
         splits = leave_subjects_out_folds(corpus.subject_ids, fold_size=2)[:2]
         for split, fold in zip(splits, via_executor.folds):
             expected = (
-                make_runtime(calibrated_experiment, mega_batched=True)
+                make_runtime(calibrated_experiment)
                 .run_many([corpus.subject(split.test_subject)], CONSTRAINT)
                 .mae_bpm
             )
@@ -528,17 +526,16 @@ class TestZeroWindowSubjects:
             subjects[1],
         ]
 
-    @pytest.mark.parametrize("stacked_state", [True, False])
     def test_mega_matches_sequential_with_empty_subjects(
-        self, calibrated_experiment, small_dataset, stacked_state
+        self, calibrated_experiment, small_dataset
     ):
         fleet = self.fleet(small_dataset)
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        sequential = make_runtime(calibrated_experiment, batched=False).run_many(
             fleet, CONSTRAINT, use_oracle_difficulty=True
         )
-        runtime = make_runtime(calibrated_experiment, mega_batched=True)
-        runtime.stacked_state = stacked_state
-        mega = runtime.run_many(fleet, CONSTRAINT, use_oracle_difficulty=True)
+        mega = make_runtime(calibrated_experiment).run_many(
+            fleet, CONSTRAINT, use_oracle_difficulty=True
+        )
         assert_fleets_identical(sequential, mega)
         for sid in ("empty-first", "empty-mid"):
             assert mega.results[sid].n_windows == 0
@@ -548,11 +545,11 @@ class TestZeroWindowSubjects:
         self, calibrated_experiment, small_dataset
     ):
         fleet = self.fleet(small_dataset)
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        sequential = make_runtime(calibrated_experiment, batched=False).run_many(
             fleet, CONSTRAINT, use_oracle_difficulty=True
         )
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment, mega_batched=True),
+            make_runtime(calibrated_experiment),
             max_workers=2,
             shards_per_worker=2,
         )
@@ -564,10 +561,10 @@ class TestZeroWindowSubjects:
     ):
         fleet = self.fleet(small_dataset)
         traces = {"empty-first": np.zeros(0, dtype=bool)}
-        sequential = make_runtime(calibrated_experiment, mega_batched=False).run_many(
+        sequential = make_runtime(calibrated_experiment, batched=False).run_many(
             fleet, CONSTRAINT, use_oracle_difficulty=True, connected_traces=traces
         )
-        mega = make_runtime(calibrated_experiment, mega_batched=True).run_many(
+        mega = make_runtime(calibrated_experiment).run_many(
             fleet, CONSTRAINT, use_oracle_difficulty=True, connected_traces=traces
         )
         assert_fleets_identical(sequential, mega)
@@ -577,9 +574,9 @@ class TestZeroWindowSubjects:
     ):
         fleet = self.fleet(small_dataset)
         traces = {"empty-first": np.ones(3, dtype=bool)}
-        for mega_batched in (False, True):
+        for batched in (False, True):
             with pytest.raises(ValueError, match="one entry per window"):
-                make_runtime(calibrated_experiment, mega_batched=mega_batched).run_many(
+                make_runtime(calibrated_experiment, batched=batched).run_many(
                     fleet,
                     CONSTRAINT,
                     use_oracle_difficulty=True,
@@ -589,8 +586,8 @@ class TestZeroWindowSubjects:
     def test_all_empty_fleet_produces_empty_results(self, calibrated_experiment, small_dataset):
         template = small_dataset.subjects[0]
         fleet = [self.empty_subject(template, f"empty-{i}") for i in range(3)]
-        for mega_batched in (False, True):
-            result = make_runtime(calibrated_experiment, mega_batched=mega_batched).run_many(
+        for batched in (False, True):
+            result = make_runtime(calibrated_experiment, batched=batched).run_many(
                 fleet, CONSTRAINT, use_oracle_difficulty=True
             )
             assert result.n_windows == 0

@@ -1,14 +1,14 @@
 """Property-based equivalence suite for the fleet engines.
 
 The fleet correctness contract — *every* fast multi-subject path is
-decision-for-decision identical to sequential ``run_many`` replay — is
+decision-for-decision identical to the scalar per-window oracle
+(``run_many(..., batched=False)``) — is
 pinned here across seeded randomized scenarios instead of a handful of
 hand-picked fixtures.  Hypothesis draws fleet compositions (subject
 counts and lengths, BLE traces or not, heterogeneous hardware revisions,
 RF vs oracle difficulty, stateful vs ``FLEET_BATCHABLE`` predictors —
 including a fully stateful zoo with a signal-reading spectral tracker —
-stacked-state fused dispatch vs the legacy per-``(model, subject)``
-fallback, the ``equivalence`` policy axis (bitwise vs tolerance) with a
+the ``equivalence`` policy axis (bitwise vs tolerance) with a
 real signal-reading TimePPG network in the zoo, the inference precision
 axis (float64 vs float32 — float32 always under the tolerance policy
 with the wider ``EQUIVALENCE_TOLERANCES`` bounds), worker counts 1/2/4,
@@ -205,9 +205,6 @@ def fleet_scenarios(draw):
         # through the stateful dispatch; "zoo": the fully stateful zoo
         # (spectral tracker + smoothed calibrated trackers).
         "stateful": draw(st.sampled_from(["none", "flag", "zoo"])),
-        # Stacked-state fused dispatch vs legacy per-(model, subject)
-        # fallback for the stateful predictors.
-        "stacked": draw(st.booleans()),
         # Equivalence policy axis: bitwise keeps every path bit-exact;
         # tolerance fuses TOLERANCE_FUSABLE predictors across subjects.
         "equivalence": draw(st.sampled_from(["bitwise", "tolerance"])),
@@ -277,7 +274,6 @@ def make_runtime(scenario) -> CHRISRuntime:
         engine=experiment.engine,
         system=experiment.system,
         activity_classifier=_classifier() if scenario["use_rf"] else None,
-        stacked_state=scenario["stacked"],
         equivalence=equivalence,
         dtype=dtype,
     )
@@ -334,7 +330,7 @@ def test_scheduler_matches_sequential_replay(scenario):
         [s.recording for s in completed],
         CONSTRAINT,
         use_oracle_difficulty=not scenario["use_rf"],
-        mega_batched=False,
+        batched=False,
         connected_traces={
             sid: t for sid, t in traces.items() if sid in {s.subject_id for s in completed}
         },
@@ -414,7 +410,7 @@ def test_tolerance_fused_timeppg_within_documented_bounds(scenario):
         [s.recording for s in completed],
         CONSTRAINT,
         use_oracle_difficulty=not scenario["use_rf"],
-        mega_batched=False,
+        batched=False,
         connected_traces={
             sid: t for sid, t in traces.items() if sid in {s.subject_id for s in completed}
         },
@@ -441,7 +437,7 @@ def test_pool_executor_matches_sequential_replay(scenario):
         arrival,
         CONSTRAINT,
         use_oracle_difficulty=not scenario["use_rf"],
-        mega_batched=False,
+        batched=False,
         connected_traces=traces,
         systems=systems,
     )
@@ -482,7 +478,6 @@ def test_float32_fleet_decision_compatible_across_workers(workers):
         "stateful": "none",
         "timeppg": True,
         "use_rf": False,
-        "stacked": True,
         "equivalence": "tolerance",
         "dtype": "float64",
     }
@@ -490,7 +485,7 @@ def test_float32_fleet_decision_compatible_across_workers(workers):
     subjects = [make_subject(f"f32-{i:02d}", 24 + 8 * i, seed=100 + i) for i in range(3)]
 
     reference = make_runtime(scenario64).run_many(
-        subjects, CONSTRAINT, use_oracle_difficulty=True, mega_batched=False
+        subjects, CONSTRAINT, use_oracle_difficulty=True, batched=False
     )
     executor = FleetExecutor(
         make_runtime(scenario32), max_workers=workers, shards_per_worker=2

@@ -132,7 +132,7 @@ class TestRetireAndPause:
         # A retired session consumes no predictor stream: replaying only
         # the kept subject sequentially reproduces the kept result.
         reference = make_runtime(calibrated_experiment).run_many(
-            [keep.recording], CONSTRAINT, use_oracle_difficulty=True, mega_batched=False
+            [keep.recording], CONSTRAINT, use_oracle_difficulty=True, batched=False
         )
         assert_results_identical(reference.results["keep"], keep.result)
 
@@ -263,7 +263,7 @@ class TestValidationAndFailure:
 
         subject = make_subject("flaky", seed=42)
         reference = make_runtime(calibrated_experiment).run_many(
-            [subject], CONSTRAINT, use_oracle_difficulty=True, mega_batched=False
+            [subject], CONSTRAINT, use_oracle_difficulty=True, batched=False
         )
         with tempfile.TemporaryDirectory() as fault_dir:
             plan = faults.FaultPlan(fault_dir)
@@ -350,7 +350,7 @@ class TestHeterogeneousSessions:
             subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
-            mega_batched=False,
+            batched=False,
             systems=systems,
         )
         for session in sessions:
@@ -670,17 +670,6 @@ class TestServingValidation:
     def test_open_stream_requires_single_worker(self, calibrated_experiment):
         with make_scheduler(calibrated_experiment, max_workers=2) as scheduler:
             with pytest.raises(ValueError, match="max_workers"):
-                scheduler.open_stream("w0")
-
-    def test_open_stream_requires_stacked_state(self, calibrated_experiment):
-        runtime = CHRISRuntime(
-            zoo=copy.deepcopy(calibrated_experiment.zoo),
-            engine=calibrated_experiment.engine,
-            system=calibrated_experiment.system,
-            stacked_state=False,
-        )
-        with FleetScheduler(runtime, CONSTRAINT, use_oracle_difficulty=True) as scheduler:
-            with pytest.raises(ValueError, match="stacked_state"):
                 scheduler.open_stream("w0")
 
     def test_duplicate_stream_id_rejected(self, calibrated_experiment):
