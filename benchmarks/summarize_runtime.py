@@ -13,7 +13,8 @@ per-window oracle), and through the fused inference engine (``"inference"`` bloc
 batched AT peak detection vs the scalar detector, TimePPG's frozen
 inference network vs the training-mode forward, and the
 ``equivalence="tolerance"`` cross-subject TimePPG fusion vs the bitwise
-per-subject dispatch), through the float32 engine (``"inference_dtype"``
+per-subject dispatch, plus the difficulty detector's batched accelerometer
+features vs the per-window loop), through the float32 engine (``"inference_dtype"``
 block: batched AT and frozen TimePPG at float32 vs the float64
 reference, with per-dtype throughputs and equivalence flags), and
 through the crash-safe checkpointed fleet
@@ -99,6 +100,7 @@ def append_history(outcome: dict, history_path: Path) -> None:
         "stateful_stacked_windows_per_s": outcome["stateful_fleet"][
             "stacked_windows_per_s"
         ],
+        "detector_features_speedup": outcome["inference"]["detector"]["speedup"],
         "checkpoint_relative_throughput": outcome["checkpoint"][
             "checkpoint_relative_throughput"
         ],

@@ -1,4 +1,4 @@
-"""Inference-engine throughput: batched AT, TimePPG inference, tolerance fusion.
+"""Inference-engine throughput: batched AT, TimePPG inference, tolerance fusion, detector.
 
 The fused inference engine removes the two Python-level hot loops from
 the per-window compute path: the adaptive-threshold raw peak detector
@@ -8,7 +8,9 @@ and TimePPG's frozen inference network (batch norm folded into the
 convolutions, GEMM im2col lowering) replaces the training-oriented
 layer stack.  On top, the ``equivalence="tolerance"`` policy fuses
 TimePPG's forward across subjects in fleet replays.  This benchmark
-pins regression floors for all three paths so they fail loudly.
+pins regression floors for all three paths so they fail loudly, plus
+one for the difficulty detector's batched accelerometer features
+(bit-identical to the per-window loop they replaced).
 """
 
 import json
@@ -31,11 +33,18 @@ MIN_TIMEPPG_SPEEDUP = 2.0
 #: dispatch on the small-session fleet workload (measured ~1.6-1.8x).
 MIN_TOLERANCE_FLEET_SPEEDUP = 1.15
 
+#: Required batched detector-feature speedup over the per-window
+#: ``accelerometer_features`` loop on the 4,296-window synthetic corpus
+#: (measured 10-12x on a 2-vCPU Xeon; windows without derivative plateaus
+#: skip the forward fill).
+MIN_DETECTOR_SPEEDUP = 3.0
+
 
 @pytest.mark.slow
 def test_inference_engine_throughput(experiment, results_dir):
     outcome = benchmark_inference(experiment, seed=0)
     at, nn, fleet = outcome["at"], outcome["timeppg"], outcome["tolerance_fleet"]
+    detector = outcome["detector"]
 
     emit(
         results_dir,
@@ -54,6 +63,10 @@ def test_inference_engine_throughput(experiment, results_dir):
                 f"bitwise {fleet['bitwise_windows_per_s']:,.0f} w/s, "
                 f"tolerance {fleet['tolerance_windows_per_s']:,.0f} w/s "
                 f"({fleet['speedup']:.2f}x, floor {MIN_TOLERANCE_FLEET_SPEEDUP:.2f}x)",
+                f"detector features: {detector['n_windows']} windows, "
+                f"scalar {detector['scalar_windows_per_s']:,.0f} w/s, "
+                f"batched {detector['batched_windows_per_s']:,.0f} w/s "
+                f"({detector['speedup']:.1f}x, floor {MIN_DETECTOR_SPEEDUP:.0f}x)",
             ]
         ),
     )
@@ -72,3 +85,5 @@ def test_inference_engine_throughput(experiment, results_dir):
         "tolerance-fused fleet left the documented atol/rtol"
     )
     assert fleet["speedup"] >= MIN_TOLERANCE_FLEET_SPEEDUP
+    assert detector["bit_identical"], "batched detector features diverged from the scalar loop"
+    assert detector["speedup"] >= MIN_DETECTOR_SPEEDUP

@@ -202,6 +202,8 @@ DEFAULT_BATCH_TWINS: tuple[BatchTwin, ...] = (
     BatchTwin("signal/peaks.py", "adaptive_threshold_peaks", "adaptive_threshold_peaks_batch"),
     BatchTwin("signal/peaks.py", "peak_intervals_to_bpm", "peak_intervals_to_bpm_batch"),
     BatchTwin("signal/spectral.py", "power_spectrum", "power_spectrum_batch"),
+    BatchTwin("signal/features.py", "accelerometer_features", "accelerometer_features_batch"),
+    BatchTwin("signal/peaks.py", "count_sign_changes", "count_sign_changes_batch"),
 )
 
 # Durable-state modules subject to REP005 (persistence atomicity).

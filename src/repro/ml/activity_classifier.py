@@ -6,6 +6,15 @@ selected statistical features (mean, energy, standard deviation, number of
 peaks, axis-averaged) and predicts one of the nine activities, from which
 the difficulty level follows via the fixed activity ordering.
 
+Both stages run batched: :meth:`ActivityClassifier.extract_features`
+computes the features of every window through
+:func:`~repro.signal.features.feature_vector` (vectorized, chunked, and
+bit-identical to the per-window reference), and the forest walks all its
+trees over all rows at once.  A window holding a non-finite accelerometer
+sample gets the conservative difficulty 9 (the hardest activity): its
+NaN feature row never reaches the forest, no numpy warning is raised,
+and the other windows of the batch are unaffected.
+
 In the paper this model runs on the ML core embedded in the LSM6DSM
 accelerometer, so its execution is free from the point of view of the main
 MCU; the hardware model accounts for that by assigning it zero MCU energy
@@ -18,13 +27,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.activities import Activity, difficulties_of
+from repro.data.activities import (
+    NUM_DIFFICULTY_LEVELS,
+    Activity,
+    activity_from_difficulty,
+    difficulties_of,
+)
 from repro.ml.metrics import accuracy_score, binary_accuracy_at_threshold
 from repro.ml.random_forest import RandomForestClassifier
 from repro.signal.features import feature_vector
 
 #: Forest hyper-parameters from the paper: 8 trees, maximum depth 5.
 DEFAULT_RF_PARAMS: dict = {"n_estimators": 8, "max_depth": 5}
+
+#: Activity assigned to windows with non-finite accelerometer samples:
+#: the hardest one, so routing falls back to the most accurate model.
+INVALID_WINDOW_ACTIVITY: Activity = activity_from_difficulty(NUM_DIFFICULTY_LEVELS)
 
 
 @dataclass
@@ -51,7 +69,11 @@ class ActivityClassifier:
 
     # ------------------------------------------------------------------ fit
     def extract_features(self, accel_windows: np.ndarray) -> np.ndarray:
-        """Feature matrix for a batch of ``(n, samples, 3)`` accel windows."""
+        """Feature matrix for a batch of ``(n, samples, 3)`` accel windows.
+
+        One call computes the whole batch; a window with a non-finite
+        sample yields an all-NaN row.
+        """
         return feature_vector(accel_windows, extended=self.extended_features)
 
     def fit(self, accel_windows: np.ndarray, activity_labels: np.ndarray) -> "ActivityClassifier":
@@ -82,14 +104,28 @@ class ActivityClassifier:
 
     # -------------------------------------------------------------- predict
     def predict_activity(self, accel_windows: np.ndarray) -> np.ndarray:
-        """Predicted activity identifier for each accelerometer window."""
+        """Predicted activity identifier for each accelerometer window.
+
+        Windows with a non-finite sample (an all-NaN feature row) get
+        :data:`INVALID_WINDOW_ACTIVITY` without consulting the forest.
+        """
         self._check_fitted()
         features = self.extract_features(accel_windows)
-        normalized = (features - self._feature_mean) / self._feature_std
-        return self._forest.predict(normalized)
+        valid = ~np.isnan(features).any(axis=1)
+        if valid.all():
+            return self._forest.predict((features - self._feature_mean) / self._feature_std)
+        activities = np.full(features.shape[0], int(INVALID_WINDOW_ACTIVITY), dtype=np.intp)
+        if valid.any():
+            normalized = (features[valid] - self._feature_mean) / self._feature_std
+            activities[valid] = self._forest.predict(normalized)
+        return activities
 
     def predict_difficulty(self, accel_windows: np.ndarray) -> np.ndarray:
-        """Predicted difficulty level (1–9) for each accelerometer window."""
+        """Predicted difficulty level (1–9) for each accelerometer window.
+
+        An empty batch yields an empty integer array; a window with a
+        non-finite sample yields difficulty 9.
+        """
         activities = self.predict_activity(accel_windows)
         return difficulties_of(activities)
 

@@ -5,6 +5,12 @@ threshold splits evaluated on a configurable number of candidate
 thresholds per feature, and supports the depth / minimum-samples limits
 needed to reproduce the paper's tiny 8-tree, depth-5 forest that fits the
 LSM6DSM ML core.
+
+A fitted tree is a set of flat per-node arrays in preorder (``feature_``,
+``threshold_``, ``left_``, ``right_``, ``value_``), the layout of the
+sensor's node tables.  A leaf's children point back at the leaf itself,
+so :func:`descend` walks every row (and, for a forest, every tree) in
+lockstep for a fixed number of steps without a leaf test.
 """
 
 from __future__ import annotations
@@ -14,23 +20,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
-class _Node:
-    """One node of the decision tree.
+def descend(  # hot-path
+    X: np.ndarray,
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    roots: np.ndarray,
+    steps: int,
+) -> np.ndarray:
+    """Node reached by every row of ``X`` from every root, all at once.
 
-    Leaf nodes store the class-probability vector; internal nodes store
-    the split (feature index and threshold) plus the two children.
+    ``feature``/``threshold``/``left``/``right`` are flat node tables in
+    which a leaf is its own child, so ``steps`` (the deepest tree's depth)
+    moves every ``(row, root)`` pair to its leaf.  A row goes left when
+    ``X[row, feature] <= threshold``, exactly the per-row walk's test
+    (NaN goes right).
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(n_rows, n_roots)`` node indices.
     """
-
-    prediction: np.ndarray | None = None
-    feature: int | None = None
-    threshold: float | None = None
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.prediction is not None
+    X = np.ascontiguousarray(X)
+    n_rows, n_features = X.shape
+    nodes = np.broadcast_to(roots, (n_rows, roots.size))
+    values = X.ravel()
+    row_base = (np.arange(n_rows, dtype=np.intp) * n_features)[:, None]
+    for _ in range(steps):  # loop-ok: tree depth, not windows
+        go_left = values[row_base + feature[nodes]] <= threshold[nodes]
+        nodes = np.where(go_left, left[nodes], right[nodes])
+    return nodes
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -92,7 +112,15 @@ class DecisionTreeClassifier:
 
     n_classes_: int = field(init=False, default=0)
     n_features_: int = field(init=False, default=0)
-    _root: _Node | None = field(init=False, default=None, repr=False)
+    #: Per-node split feature (0 at leaves), in preorder.
+    feature_: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    #: Per-node split threshold (0.0 at leaves).
+    threshold_: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    #: Per-node left / right child; a leaf is its own child.
+    left_: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    right_: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    #: ``(n_nodes, n_classes)`` class probabilities (zero rows at internal nodes).
+    value_: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
     _rng: np.random.Generator = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -122,7 +150,15 @@ class DecisionTreeClassifier:
         self.n_classes_ = int(y.max()) + 1 if n_classes is None else int(n_classes)
         self.n_features_ = X.shape[1]
         self._rng = np.random.default_rng(self.random_state)
-        self._root = self._grow(X, y, depth=0)
+        splits: list[tuple[int, float, int, int]] = []
+        values: list[np.ndarray] = []
+        self._grow(X, y, 0, splits, values)
+        feature, threshold, left, right = zip(*splits)
+        self.feature_ = np.array(feature, dtype=np.intp)
+        self.threshold_ = np.array(threshold, dtype=float)
+        self.left_ = np.array(left, dtype=np.intp)
+        self.right_ = np.array(right, dtype=np.intp)
+        self.value_ = np.stack(values)
         return self
 
     def _n_split_features(self) -> int:
@@ -132,25 +168,34 @@ class DecisionTreeClassifier:
             return max(1, int(np.ceil(np.sqrt(self.n_features_))))
         return max(1, min(int(self.max_features), self.n_features_))
 
-    def _leaf(self, y: np.ndarray) -> _Node:
-        counts = np.bincount(y, minlength=self.n_classes_).astype(float)
-        return _Node(prediction=counts / counts.sum())
-
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
+    def _grow(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        depth: int,
+        splits: list[tuple[int, float, int, int]],
+        values: list[np.ndarray],
+    ) -> int:
+        """Append the subtree grown on ``(X, y)`` in preorder; return its root."""
+        node = len(splits)
+        splits.append((0, 0.0, node, node))
+        values.append(np.zeros(self.n_classes_))
         if (
             (self.max_depth is not None and depth >= self.max_depth)
             or y.size < self.min_samples_split
             or np.unique(y).size == 1
         ):
-            return self._leaf(y)
-
-        split = self._best_split(X, y)
+            split = None
+        else:
+            split = self._best_split(X, y)
         if split is None:
-            return self._leaf(y)
+            counts = np.bincount(y, minlength=self.n_classes_).astype(float)
+            values[node] = counts / counts.sum()
+            return node
         feature, threshold, left_mask = split
-        node = _Node(feature=feature, threshold=threshold)
-        node.left = self._grow(X[left_mask], y[left_mask], depth + 1)
-        node.right = self._grow(X[~left_mask], y[~left_mask], depth + 1)
+        left = self._grow(X[left_mask], y[left_mask], depth + 1, splits, values)
+        right = self._grow(X[~left_mask], y[~left_mask], depth + 1, splits, values)
+        splits[node] = (feature, threshold, left, right)
         return node
 
     def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float, np.ndarray] | None:
@@ -194,7 +239,7 @@ class DecisionTreeClassifier:
 
     # -------------------------------------------------------------- predict
     def _check_fitted(self) -> None:
-        if self._root is None:
+        if self.feature_ is None:
             raise RuntimeError("DecisionTreeClassifier must be fitted before prediction")
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -207,16 +252,11 @@ class DecisionTreeClassifier:
             raise ValueError(
                 f"X has {X.shape[1]} features, the tree was fitted with {self.n_features_}"
             )
-        out = np.empty((X.shape[0], self.n_classes_))
-        for i, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:  # type: ignore[union-attr]
-                if row[node.feature] <= node.threshold:  # type: ignore[index, operator]
-                    node = node.left  # type: ignore[union-attr]
-                else:
-                    node = node.right  # type: ignore[union-attr]
-            out[i] = node.prediction  # type: ignore[union-attr]
-        return out
+        leaves = descend(
+            X, self.feature_, self.threshold_, self.left_, self.right_,
+            np.zeros(1, dtype=np.intp), self.depth(),
+        )
+        return self.value_[leaves[:, 0]]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class for each sample."""
@@ -226,21 +266,13 @@ class DecisionTreeClassifier:
     def depth(self) -> int:
         """Actual depth of the grown tree (0 for a single leaf)."""
         self._check_fitted()
-
-        def _depth(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))  # type: ignore[arg-type]
-
-        return _depth(self._root)  # type: ignore[arg-type]
+        depths = np.zeros(self.node_count(), dtype=int)
+        internal = np.flatnonzero(self.left_ != np.arange(self.left_.size))
+        for node in internal:  # preorder: a parent's depth is final before its children's
+            depths[self.left_[node]] = depths[self.right_[node]] = depths[node] + 1
+        return int(depths.max())
 
     def node_count(self) -> int:
         """Total number of nodes (internal + leaves)."""
         self._check_fitted()
-
-        def _count(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + _count(node.left) + _count(node.right)  # type: ignore[arg-type]
-
-        return _count(self._root)  # type: ignore[arg-type]
+        return int(self.feature_.size)

@@ -5,6 +5,12 @@ The paper's activity recognizer is a forest of 8 trees with maximum depth
 implementation uses standard bagging: each tree is grown on a bootstrap
 resample of the training set and examines a random subset of features at
 every split; prediction averages the per-tree class probabilities.
+
+Prediction walks all trees at once: the trees' node tables are
+concatenated at fit time and :func:`~repro.ml.decision_tree.descend`
+moves an ``(n_rows, n_trees)`` node matrix for at most the deepest tree's
+depth.  The leaf probabilities are then summed tree by tree in index
+order, so the averages equal the per-tree, per-row walk bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.decision_tree import DecisionTreeClassifier
+from repro.ml.decision_tree import DecisionTreeClassifier, descend
 
 
 @dataclass
@@ -52,6 +58,11 @@ class RandomForestClassifier:
     n_classes_: int = field(init=False, default=0)
     n_features_: int = field(init=False, default=0)
     estimators_: list[DecisionTreeClassifier] = field(init=False, default_factory=list, repr=False)
+    #: The trees' node tables concatenated (child indices shifted to
+    #: match), the root of each tree, and the deepest tree's depth.
+    _tables: tuple[np.ndarray, ...] = field(init=False, default=(), repr=False)
+    _roots: np.ndarray = field(init=False, default=None, repr=False)  # type: ignore[assignment]
+    _steps: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_estimators < 1:
@@ -87,22 +98,33 @@ class RandomForestClassifier:
             )
             tree.fit(X[idx], y[idx], n_classes=self.n_classes_)
             self.estimators_.append(tree)
+        sizes = [tree.node_count() for tree in self.estimators_]
+        self._roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
+        self._tables = (
+            np.concatenate([tree.feature_ for tree in self.estimators_]),
+            np.concatenate([tree.threshold_ for tree in self.estimators_]),
+            np.concatenate([t.left_ + r for t, r in zip(self.estimators_, self._roots)]),
+            np.concatenate([t.right_ + r for t, r in zip(self.estimators_, self._roots)]),
+            np.concatenate([tree.value_ for tree in self.estimators_]),
+        )
+        self._steps = self.max_tree_depth()
         return self
 
     def _check_fitted(self) -> None:
         if not self.estimators_:
             raise RuntimeError("RandomForestClassifier must be fitted before prediction")
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:  # hot-path
         """Average class-probability matrix over the trees."""
         self._check_fitted()
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        probs = np.zeros((X.shape[0], self.n_classes_))
-        for tree in self.estimators_:
-            probs += tree.predict_proba(X)
-        return probs / len(self.estimators_)
+        feature, threshold, left, right, value = self._tables
+        leaves = descend(X, feature, threshold, left, right, self._roots, self._steps)
+        # ``(n_trees, n_rows, n_classes)`` reduced along axis 0 accumulates
+        # tree by tree in index order, as a ``probs += tree`` loop does.
+        return value[leaves.T].sum(axis=0) / len(self.estimators_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class for each sample."""

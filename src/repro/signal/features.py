@@ -10,7 +10,15 @@ following four predictors computed on the three accelerometer axes:
 
 Each feature is computed per axis and the per-axis values are then
 averaged, keeping the feature vector at 4 entries — small enough for the
-LSM6DSM ML core.  :func:`accelerometer_features` implements exactly that;
+LSM6DSM ML core.  :func:`accelerometer_features` implements exactly that
+for one window and is the scalar reference;
+:func:`accelerometer_features_batch` is its vectorized twin over a
+``(n_windows, n_samples, n_axes)`` stack, **bit-identical** row by row:
+every reduction runs in the order the scalar function uses (see its
+docstring).  :func:`feature_vector` — the difficulty detector's entry
+point — runs the batch twin over fixed chunks of :data:`FEATURE_CHUNK`
+windows, and returns an all-NaN row, without a numpy warning, for every
+window holding a non-finite sample.
 :func:`extended_accelerometer_features` adds extra candidates (used by the
 grid-search reproduction in the benchmarks).
 """
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.signal.peaks import count_sign_changes
+from repro.signal.peaks import count_sign_changes, count_sign_changes_batch
 
 FEATURE_NAMES: tuple[str, ...] = ("mean", "energy", "std", "n_peaks")
 """Names of the four features used by the paper, in order."""
@@ -32,6 +40,12 @@ EXTENDED_FEATURE_NAMES: tuple[str, ...] = FEATURE_NAMES + (
     "rms",
 )
 """Names of the extended feature set used by the feature grid search."""
+
+#: Windows per :func:`accelerometer_features_batch` call in
+#: :func:`feature_vector`.  Bounds the batch's scratch copies (about 3 MB
+#: each for 256-sample, 3-axis windows) instead of letting them grow with
+#: the corpus.
+FEATURE_CHUNK = 512
 
 
 def signal_energy(x: np.ndarray) -> float:
@@ -77,6 +91,74 @@ def accelerometer_features(window: np.ndarray) -> np.ndarray:
     return np.array([means.mean(), energies.mean(), stds.mean(), n_peaks.mean()])
 
 
+def accelerometer_features_batch(windows: np.ndarray) -> np.ndarray:  # hot-path
+    """:func:`accelerometer_features` of every window of a stack at once.
+
+    Parameters
+    ----------
+    windows:
+        Array of shape ``(n_windows, n_samples, n_axes)``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(n_windows, 4)`` matrix whose rows equal the scalar feature
+        vectors bit for bit.  A window holding a non-finite sample gets an
+        all-NaN row and raises no numpy warning.
+
+    Notes
+    -----
+    The scalar function reduces its ``(n_samples, n_axes)`` window along
+    the sample axis, which numpy accumulates row by row when there are
+    several axes and sums pairwise along a contiguous 1-D series when
+    there is one.  The batch lays the stack out so that each reduction
+    keeps that order: ``(n_samples, n_windows * n_axes)`` reduced along
+    axis 0 for multi-axis windows, ``(n_windows, n_samples)`` reduced
+    along axis 1 for single-axis ones.  The per-axis average then reduces
+    each window's ``n_axes`` values along a contiguous row, as the scalar
+    ``.mean()`` of a 1-D vector does.
+    """
+    x = np.asarray(windows, dtype=float)
+    if x.ndim != 3:
+        raise ValueError(
+            f"expected a (n_windows, n_samples, n_axes) array, got shape {x.shape}"
+        )
+    n, samples, axes = x.shape
+    if samples == 0:
+        raise ValueError("feature extraction received an empty window")
+    if axes == 1:
+        series, axis = x.reshape(n, samples), 1
+    else:
+        series, axis = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(samples, n * axes), 0
+
+    # A non-finite sample always makes its series' sum non-finite; only
+    # then is the (rare) exact per-sample check paid.  Those series are
+    # zeroed so the feature math below stays warning-free, and their
+    # windows' rows are set to NaN at the end.
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = series.sum(axis=axis)
+    bad = None
+    if not np.isfinite(sums).all():
+        bad = ~np.isfinite(x).all(axis=(1, 2))
+        bad_series = np.repeat(bad, axes)
+        series = np.where(np.expand_dims(bad_series, axis), 0.0, series)
+        sums = series.sum(axis=axis)
+
+    means = sums / samples
+    energies = (series * series).sum(axis=axis) / samples
+    deviations = series - np.expand_dims(means, axis)
+    deviations *= deviations
+    stds = np.sqrt(deviations.sum(axis=axis) / samples)
+    n_peaks = count_sign_changes_batch(np.moveaxis(series, axis, -1)).astype(float)
+    out = np.stack(
+        [v.reshape(n, axes).mean(axis=1) for v in (means, energies, stds, n_peaks)],
+        axis=1,
+    )
+    if bad is not None:
+        out[bad] = np.nan
+    return out
+
+
 def extended_accelerometer_features(window: np.ndarray) -> np.ndarray:
     """Extended statistical feature vector (9 entries), axis-averaged.
 
@@ -95,6 +177,12 @@ def extended_accelerometer_features(window: np.ndarray) -> np.ndarray:
 
 def feature_vector(windows: np.ndarray, extended: bool = False) -> np.ndarray:
     """Feature matrix for a batch of accelerometer windows.
+
+    The paper's 4 features come from :func:`accelerometer_features_batch`
+    over chunks of :data:`FEATURE_CHUNK` windows; the extended set loops
+    over :func:`extended_accelerometer_features`.  Either way a window
+    holding a non-finite sample yields an all-NaN row without a numpy
+    warning, and an empty batch yields an empty matrix.
 
     Parameters
     ----------
@@ -116,5 +204,14 @@ def feature_vector(windows: np.ndarray, extended: bool = False) -> np.ndarray:
         raise ValueError(
             f"feature_vector expects (n_windows, n_samples, n_axes), got shape {windows.shape}"
         )
-    extractor = extended_accelerometer_features if extended else accelerometer_features
-    return np.stack([extractor(w) for w in windows])
+    n = windows.shape[0]
+    if extended:
+        out = np.full((n, len(EXTENDED_FEATURE_NAMES)), np.nan)
+        for i in np.flatnonzero(np.isfinite(windows).all(axis=(1, 2))):
+            out[i] = extended_accelerometer_features(windows[i])
+        return out
+    out = np.empty((n, len(FEATURE_NAMES)))
+    for start in range(0, n, FEATURE_CHUNK):
+        stop = start + FEATURE_CHUNK
+        out[start:stop] = accelerometer_features_batch(windows[start:stop])
+    return out

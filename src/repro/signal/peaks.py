@@ -282,3 +282,35 @@ def count_sign_changes(x: np.ndarray) -> int:
     np.maximum.accumulate(idx, out=idx)
     filled = signs[idx]
     return int(np.count_nonzero(np.diff(filled) != 0))
+
+
+def count_sign_changes_batch(x: np.ndarray) -> np.ndarray:  # hot-path
+    """:func:`count_sign_changes` of every row of ``x`` (samples on the last axis).
+
+    A row without a zero derivative needs no forward fill, so its count
+    is the number of changes of its raw signs.  Rows with a plateau are
+    gathered and forward-filled with the scalar rule, quirk included:
+    zero signs before a row's first non-zero sign index that row's first
+    sign, so a leading plateau counts as sign 0 and its end as a change.
+    The counts are integers, so they equal the scalar ones exactly
+    whatever the memory layout of ``x``.
+
+    Returns
+    -------
+    numpy.ndarray
+        Integer counts of shape ``x.shape[:-1]``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] < 3:
+        return np.zeros(x.shape[:-1], dtype=np.intp)
+    signs = np.sign(np.diff(x))
+    # Signs are -1, 0, 1 or NaN, so ``a != b`` is the scalar's ``a - b != 0``.
+    changes = np.asarray(np.count_nonzero(signs[..., 1:] != signs[..., :-1], axis=-1))
+    plateau = (signs == 0).any(axis=-1)
+    if plateau.any():
+        rows = signs[plateau]
+        idx = np.where(rows != 0, np.arange(rows.shape[1], dtype=np.intp), 0)
+        np.maximum.accumulate(idx, axis=1, out=idx)
+        filled = np.take_along_axis(rows, idx, axis=1)
+        changes[plateau] = np.count_nonzero(filled[:, 1:] != filled[:, :-1], axis=1)
+    return changes

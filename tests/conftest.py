@@ -12,6 +12,7 @@ import pytest
 
 from repro.data import SyntheticDaliaGenerator, SyntheticDatasetConfig, WindowedDataset
 from repro.eval import CalibratedExperiment
+from repro.eval.experiment import build_calibrated_zoo, make_profiling_data
 from repro.ml import ActivityClassifier
 
 
@@ -38,6 +39,15 @@ def trained_activity_classifier(small_dataset) -> ActivityClassifier:
     classifier = ActivityClassifier(random_state=0)
     classifier.fit(subject.accel_windows, subject.activity)
     return classifier
+
+
+@pytest.fixture(scope="session")
+def profiling_corpus() -> tuple[np.ndarray, ActivityClassifier]:
+    """A ``make_profiling_data`` corpus: every accel window and its fitted detector."""
+    _, dataset, classifier = make_profiling_data(
+        build_calibrated_zoo(), n_subjects=4, activity_duration_s=30.0, seed=3
+    )
+    return WindowedDataset(list(dataset.subjects)).concatenated().accel_windows, classifier
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,18 @@
 """Tests for the CHRIS activity recognizer (difficulty detector)."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.data.activities import Activity, difficulty_of
 from repro.ml.activity_classifier import DEFAULT_RF_PARAMS, ActivityClassifier
+
+#: sha256 of ``predict_difficulty`` (as int64) over the ``profiling_corpus``
+#: fixture, recorded with the per-window feature loop and per-row tree
+#: walk; any refit or traversal change that flips a decision changes it.
+GOLDEN_DIFFICULTY_SHA256 = "1250e4f53cb565752f9b76539bd74840923598065647420b3e3be2b2ab44d58d"
 
 
 class TestConfiguration:
@@ -62,3 +70,49 @@ class TestTrainingAndAccuracy:
         subject = small_dataset.subjects[0]
         with pytest.raises(RuntimeError):
             ActivityClassifier().predict_activity(subject.accel_windows)
+
+
+class TestBatchedDetector:
+    def test_golden_difficulty_hash(self, profiling_corpus):
+        windows, classifier = profiling_corpus
+        difficulty = np.ascontiguousarray(classifier.predict_difficulty(windows), dtype=np.int64)
+        assert hashlib.sha256(difficulty.tobytes()).hexdigest() == GOLDEN_DIFFICULTY_SHA256
+
+    def test_empty_batch(self, trained_activity_classifier):
+        difficulty = trained_activity_classifier.predict_difficulty(np.zeros((0, 256, 3)))
+        assert difficulty.shape == (0,)
+        assert np.issubdtype(difficulty.dtype, np.integer)
+
+    def test_non_finite_windows_get_the_hardest_difficulty(
+        self, trained_activity_classifier, small_dataset
+    ):
+        windows = small_dataset.subjects[1].accel_windows[:12].copy()
+        clean = trained_activity_classifier.predict_difficulty(windows)
+        windows[2, 7, 0] = np.inf
+        windows[5] = np.nan
+        windows[9, 0, 2] = -np.inf
+        bad = np.zeros(len(windows), dtype=bool)
+        bad[[2, 5, 9]] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            difficulty = trained_activity_classifier.predict_difficulty(windows)
+            all_bad = trained_activity_classifier.predict_difficulty(windows[bad])
+        assert np.all(difficulty[bad] == 9)
+        assert np.array_equal(difficulty[~bad], clean[~bad])
+        assert np.all(all_bad == 9)
+
+    def test_nan_features_never_reach_the_forest(self, trained_activity_classifier, monkeypatch):
+        seen = []
+        forest = trained_activity_classifier._forest
+        original = type(forest).predict
+
+        def spy(self, X):
+            seen.append(np.asarray(X).copy())
+            return original(self, X)
+
+        monkeypatch.setattr(type(forest), "predict", spy)
+        windows = np.random.default_rng(0).normal(size=(4, 256, 3))
+        windows[1, 3, 1] = np.nan
+        trained_activity_classifier.predict_difficulty(windows)
+        assert len(seen) == 1 and seen[0].shape == (3, 4)
+        assert np.isfinite(seen[0]).all()

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.metrics import accuracy_score, confusion_matrix, mean_absolute_error
 from repro.ml.random_forest import RandomForestClassifier
+from tests.ml.test_random_forest import per_tree_average
 
 feature_matrix = arrays(
     dtype=np.float64,
@@ -66,6 +67,17 @@ class TestForestProperties:
         assert proba.shape == (X.shape[0], int(y.max()) + 1)
         assert np.allclose(proba.sum(axis=1), 1.0)
         assert np.all((proba >= 0) & (proba <= 1))
+
+    @given(feature_matrix, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_lockstep_walk_equals_per_row_walk(self, X, n_estimators, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 4, size=X.shape[0])
+        forest = RandomForestClassifier(
+            n_estimators=n_estimators, max_depth=4, random_state=seed
+        ).fit(X, y)
+        expected = per_tree_average(forest, X)
+        assert forest.predict_proba(X).tobytes() == expected.tobytes()
 
 
 class TestMetricProperties:

@@ -5,9 +5,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.signal.features import accelerometer_features
+from repro.signal.features import FEATURE_CHUNK, accelerometer_features, feature_vector
 from repro.signal.filters import moving_average, standardize
-from repro.signal.peaks import adaptive_threshold_peaks, count_sign_changes, find_peaks_simple
+from repro.signal.peaks import (
+    adaptive_threshold_peaks,
+    count_sign_changes,
+    count_sign_changes_batch,
+    find_peaks_simple,
+)
 from repro.signal.spectral import spectral_entropy
 from repro.signal.windowing import WindowSpec, sliding_windows
 
@@ -68,6 +73,45 @@ class TestPeakProperties:
     def test_sign_changes_bounded_by_length(self, x):
         changes = count_sign_changes(x)
         assert 0 <= changes <= max(0, x.size - 2)
+
+
+@st.composite
+def accel_batches(draw):
+    """Window stacks rich in plateaus: few distinct levels, so leading and
+    trailing zero-derivative runs and constant windows are common; fewer
+    than 3 samples and a single axis are in range, and the batch size
+    straddles the feature chunk boundary."""
+    n_samples = draw(st.integers(min_value=1, max_value=40))
+    n_axes = draw(st.integers(min_value=1, max_value=3))
+    levels = draw(
+        st.lists(
+            st.floats(min_value=-20, max_value=20, allow_nan=False),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    n_base = draw(st.integers(min_value=1, max_value=4))
+    picks = draw(
+        arrays(np.intp, (n_base, n_samples, n_axes), elements=st.integers(0, len(levels) - 1))
+    )
+    base = np.asarray(levels)[picks]
+    n = draw(st.sampled_from([1, 2, 3, FEATURE_CHUNK - 1, FEATURE_CHUNK, FEATURE_CHUNK + 1]))
+    return base[np.arange(n) % n_base]
+
+
+class TestFeatureBatchProperties:
+    @given(accel_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_features_bit_identical_to_scalar(self, windows):
+        expected = np.stack([accelerometer_features(w) for w in windows])
+        assert feature_vector(windows).tobytes() == expected.tobytes()
+
+    @given(accel_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_sign_changes_equal_scalar(self, windows):
+        series = windows.transpose(0, 2, 1).reshape(-1, windows.shape[1])
+        expected = [count_sign_changes(row) for row in series]
+        assert count_sign_changes_batch(series).tolist() == expected
 
 
 class TestSpectralProperties:

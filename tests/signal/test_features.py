@@ -1,12 +1,16 @@
 """Tests for repro.signal.features."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.signal.features import (
     EXTENDED_FEATURE_NAMES,
+    FEATURE_CHUNK,
     FEATURE_NAMES,
     accelerometer_features,
+    accelerometer_features_batch,
     extended_accelerometer_features,
     feature_vector,
     signal_energy,
@@ -86,3 +90,56 @@ class TestFeatureVector:
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValueError):
             feature_vector(np.zeros((2, 3, 4, 5)))
+
+    def test_empty_batch_gives_empty_matrix(self):
+        assert feature_vector(np.zeros((0, 256, 3))).shape == (0, 4)
+        assert feature_vector(np.zeros((0, 256, 3)), extended=True).shape == (0, 9)
+
+
+def scalar_stack(windows: np.ndarray) -> np.ndarray:
+    return np.stack([accelerometer_features(w) for w in windows])
+
+
+class TestAccelerometerFeaturesBatch:
+    def test_bit_identical_to_scalar_on_profiling_corpus(self, profiling_corpus):
+        windows, _ = profiling_corpus
+        assert feature_vector(windows).tobytes() == scalar_stack(windows).tobytes()
+
+    @pytest.mark.parametrize("n", [FEATURE_CHUNK - 1, FEATURE_CHUNK, FEATURE_CHUNK + 1])
+    def test_bit_identical_across_chunk_boundaries(self, n):
+        windows = np.round(np.random.default_rng(n).normal(size=(n, 32, 3)), 1)
+        assert feature_vector(windows).tobytes() == scalar_stack(windows).tobytes()
+
+    def test_single_axis_batch_matches_scalar(self):
+        # One axis is a contiguous series, which numpy sums pairwise.
+        windows = np.random.default_rng(6).normal(size=(7, 256))
+        expected = np.stack([accelerometer_features(w) for w in windows])
+        assert feature_vector(windows).tobytes() == expected.tobytes()
+
+    def test_empty_window_and_wrong_rank_rejected(self):
+        with pytest.raises(ValueError):
+            accelerometer_features_batch(np.zeros((2, 0, 3)))
+        with pytest.raises(ValueError):
+            accelerometer_features_batch(np.zeros((4, 3)))
+
+    def test_input_is_not_modified(self):
+        windows = np.random.default_rng(7).normal(size=(1, 16, 3))
+        windows[0, 2, 1] = np.inf
+        before = windows.copy()
+        accelerometer_features_batch(windows)
+        assert np.array_equal(windows, before)
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_non_finite_windows_give_nan_rows_without_warning(self, extended):
+        windows = np.random.default_rng(8).normal(size=(6, 64, 3))
+        windows[1, 5, 0] = np.inf
+        windows[3, :, 2] = np.nan
+        windows[4, 0, 1] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            features = feature_vector(windows, extended=extended)
+        bad = np.array([False, True, False, True, True, False])
+        assert np.isnan(features[bad]).all()
+        assert np.isfinite(features[~bad]).all()
+        expected = feature_vector(windows[~bad], extended=extended)
+        assert features[~bad].tobytes() == expected.tobytes()

@@ -7,6 +7,7 @@ from repro.signal.peaks import (
     adaptive_threshold_peaks,
     adaptive_threshold_peaks_batch,
     count_sign_changes,
+    count_sign_changes_batch,
     find_peaks_simple,
     peak_intervals_to_bpm,
     peak_intervals_to_bpm_batch,
@@ -196,3 +197,24 @@ class TestCountSignChanges:
         slow = count_sign_changes(np.sin(2 * np.pi * 0.5 * t))
         fast = count_sign_changes(np.sin(2 * np.pi * 3.0 * t))
         assert fast > slow
+
+
+class TestCountSignChangesBatch:
+    def test_leading_plateau_counts_as_sign_zero(self):
+        # The scalar forward fill maps a leading plateau to sign 0, so its
+        # end counts as a change; the batch keeps that rule.
+        x = np.array([[1.0, 1.0, 2.0, 1.0], [1.0, 2.0, 2.0, 1.0], [3.0, 3.0, 3.0, 3.0]])
+        expected = [count_sign_changes(row) for row in x]
+        assert expected == [2, 1, 0]
+        assert count_sign_changes_batch(x).tolist() == expected
+
+    def test_any_memory_layout(self):
+        x = np.round(np.random.default_rng(0).normal(size=(20, 30)))
+        expected = [count_sign_changes(row) for row in x]
+        assert count_sign_changes_batch(x).tolist() == expected
+        assert count_sign_changes_batch(np.asfortranarray(x)).tolist() == expected
+        assert count_sign_changes_batch(x.T.copy().T).tolist() == expected
+
+    def test_short_series_and_one_series(self):
+        assert count_sign_changes_batch(np.zeros((4, 2))).tolist() == [0, 0, 0, 0]
+        assert count_sign_changes_batch(np.array([1.0, 3.0, 2.0, 2.0, 4.0])) == 2
