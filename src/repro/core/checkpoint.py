@@ -125,26 +125,32 @@ def _load_json(path: Path) -> dict | None:
 
 
 # ----------------------------------------------------------------- stager
-def record_checksum(result: RunResult) -> str:
+def record_checksum(result: RunResult, names: np.ndarray | None = None) -> str:
     """Canonical checksum of one :class:`RunResult`'s content.
 
     Computed over the raw bytes and dtypes of every per-window array,
     the model-name sequence, and the configuration reprs — the same
     function runs at staging time (on the executed record) and at load
     time (on the reconstructed record), so any bit that fails to survive
-    the columnar round trip fails verification.
+    the columnar round trip fails verification.  ``names`` is
+    ``result.model_names.astype(str)`` when the caller already has it
+    (staging converts the names once for the archive and the checksum).
     """
     digest = hashlib.sha256()
+    # Arrays hash through the buffer protocol: the same bytes as
+    # ``tobytes()`` without copying every field first.
     for name in _NPZ_ARRAY_FIELDS:
         array = np.ascontiguousarray(getattr(result, name))
         digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(array.tobytes())
+        digest.update(array)
     # Model names hash as a fixed-width unicode array: object -> str picks
     # the record-local width, so the staged record and its columnar
     # reconstruction canonicalize to identical bytes.
-    names = result.model_names.astype(str)
+    if names is None:
+        names = result.model_names.astype(str)
+    names = np.ascontiguousarray(names)
     digest.update(str(names.dtype).encode("utf-8"))
-    digest.update(names.tobytes())
+    digest.update(names)
     digest.update(repr(result.configuration).encode("utf-8"))
     for start, configuration in result.configuration_segments:
         digest.update(str(int(start)).encode("utf-8"))
@@ -231,7 +237,10 @@ class RunStager:
             "checksum": sha256_hex(data),
             "n_records": len(results),
             "subject_ids": [sid for sid, _ in results],
-            "record_checksums": [record_checksum(r) for r in records],
+            "record_checksums": [
+                record_checksum(r, names)
+                for r, names in zip(records, name_parts)
+            ],
         }
         self._write_manifest()
         return path
@@ -426,11 +435,27 @@ class FleetJournal:
         attempt: bool = False,
     ) -> None:
         """Record a shard transition (persisted atomically before returning)."""
-        entry = self._require_open()[shard]
-        entry["status"] = status.value
-        entry["error"] = error
-        if attempt:
-            entry["attempts"] = int(entry["attempts"]) + 1
+        self.mark_many([shard], status, error=error, attempt=attempt)
+
+    def mark_many(
+        self,
+        shards: Sequence[int],
+        status: ShardStatus,
+        error: str | None = None,
+        attempt: bool = False,
+    ) -> None:
+        """Record the same transition for several shards in one atomic write.
+
+        A crash before the write leaves none of them marked, which is as
+        valid a journal state as any prefix of one-at-a-time marks.
+        """
+        entries = self._require_open()
+        for shard in shards:
+            entry = entries[shard]
+            entry["status"] = status.value
+            entry["error"] = error
+            if attempt:
+                entry["attempts"] = int(entry["attempts"]) + 1
         self._write()
 
     def _write(self) -> None:

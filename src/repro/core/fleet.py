@@ -729,25 +729,29 @@ class FleetExecutor:
                 ),
             )
 
-        def submit(index: int) -> None:
+        def submit(indices: Sequence[int]) -> None:
+            if not indices:
+                return
+            # One journal write marks the whole batch RUNNING before any
+            # of it reaches the pool, instead of one write per shard.
             if journal is not None:
-                journal.mark(index, ShardStatus.RUNNING, attempt=True)
-            start, stop = bounds[index]
-            future = pool.submit(
-                _run_fleet_shard,
-                index,
-                start,
-                stop,
-                priors[index],
-                plan_slices[index],
-                batched,
-            )
-            inflight[future] = index
+                journal.mark_many(indices, ShardStatus.RUNNING, attempt=True)
+            for index in indices:
+                start, stop = bounds[index]
+                future = pool.submit(
+                    _run_fleet_shard,
+                    index,
+                    start,
+                    stop,
+                    priors[index],
+                    plan_slices[index],
+                    batched,
+                )
+                inflight[future] = index
 
         try:
             pool = make_pool()
-            for index in todo:
-                submit(index)
+            submit(todo)
             while inflight:
                 done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
                 rebuild = False
@@ -780,8 +784,7 @@ class FleetExecutor:
                     inflight.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
                     pool = make_pool()
-                for index in retry:
-                    submit(index)
+                submit(retry)
         finally:
             # Abandoning the generator early (consumer break/close) must
             # not block on shards whose results nobody will read — and

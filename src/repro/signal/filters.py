@@ -72,15 +72,18 @@ def moving_average_batch(x: np.ndarray, window: int) -> np.ndarray:  # hot-path
     cumsum = np.cumsum(x, axis=1)
     out = np.empty_like(x)
     head = min(window - 1, length)
-    # The warm-up divisors and the zero pad inherit the input dtype: small
-    # integers are exact in float32 as in float64, so the recurrence stays
+    # The warm-up divisors inherit the input dtype: small integers are
+    # exact in float32 as in float64, so the recurrence stays
     # bit-identical per precision while never widening a float32 batch.
-    out[:, :head] = cumsum[:, :head] / np.arange(1, head + 1, dtype=x.dtype)
+    np.divide(cumsum[:, :head], np.arange(1, head + 1, dtype=x.dtype), out=out[:, :head])
     if length >= window:
-        shifted = np.concatenate(
-            [np.zeros((x.shape[0], 1), dtype=cumsum.dtype), cumsum[:, :-window]], axis=1
-        )
-        out[:, window - 1:] = (cumsum[:, window - 1:] - shifted) / window
+        # Steady state, written in place: the first full window has no
+        # sample to drop (``cumsum - 0`` is exact, so it is skipped), and
+        # the difference is divided where it lands instead of going
+        # through a zero-padded shifted copy and two temporaries.
+        np.divide(cumsum[:, window - 1], window, out=out[:, window - 1])
+        np.subtract(cumsum[:, window:], cumsum[:, :-window], out=out[:, window:])
+        np.divide(out[:, window:], window, out=out[:, window:])
     return out
 
 

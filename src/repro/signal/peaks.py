@@ -160,51 +160,58 @@ def adaptive_threshold_peaks_batch(  # hot-path
     empty = (np.array([], dtype=int), np.array([], dtype=int))
     if n_rows == 0 or length == 0:
         return empty
-    threshold = moving_average_batch(x, window)
-    above = x > threshold
-    if not above.any():
+    above = x > moving_average_batch(x, window)
+
+    # Peak candidates: in-region samples that rise from their left
+    # neighbour and do not rise into their right one (or end the
+    # region).  A region's first maximum is always one of them — the
+    # sample before it is in the region and strictly smaller, the one
+    # after it is no larger — so the argmax only has to look at the
+    # candidates plus each region's start, which delimits the segments.
+    # That set is a fraction of the in-region samples, and the passes
+    # that build it are float comparisons over the whole batch.  Only
+    # two boolean scratch arrays are allocated: every full-batch
+    # temporary is fresh memory to fault in on large batches.
+    candidate = np.empty_like(above)
+    candidate[:, -1] = True
+    np.greater_equal(x[:, :-1], x[:, 1:], out=candidate[:, :-1])
+    # ``falls | ~next_above`` is ``next_above <= falls`` on booleans.
+    np.less_equal(above[:, 1:], candidate[:, :-1], out=candidate[:, :-1])
+    start = np.empty_like(above)
+    start[:, 0] = False
+    np.greater(x[:, 1:], x[:, :-1], out=start[:, 1:])
+    candidate &= start
+    candidate &= above
+
+    # Region starts of every row at once (reusing the rise scratch): an
+    # above-threshold sample whose left neighbour (False at the row edge,
+    # so runs can never span adjacent rows) is below threshold.
+    start[:, 0] = above[:, 0]
+    np.greater(above[:, 1:], above[:, :-1], out=start[:, 1:])
+    candidate |= start
+    kept = np.flatnonzero(candidate)
+    if kept.size == 0:
         return empty
+    vals = x.ravel()[kept]
+    boundaries = np.flatnonzero(start.ravel()[kept])
 
-    # Region starts of every row at once: an above-threshold sample whose
-    # left neighbour (False at the row edge, so runs can never span
-    # adjacent rows) is below threshold.
-    prev = np.empty_like(above)
-    prev[:, 0] = False
-    prev[:, 1:] = above[:, :-1]
-    start_mask = (above & ~prev).ravel()
-
-    # Compact to the in-region samples once and do all remaining work on
-    # that (much smaller) gather: values, start flags and region ids per
-    # in-region sample.  This keeps the full-batch-size passes down to
-    # the boolean ops above, which matters because everything here is
-    # exact integer/comparison logic — the only dtype-sensitive arrays
-    # are ``vals`` and ``region_max``.
-    in_region = np.flatnonzero(above.ravel())
-    vals = x.ravel()[in_region]
-    is_start = start_mask[in_region]
-    boundaries = np.flatnonzero(is_start)
-
-    # Region maxima: one reduceat over the compacted values (each
-    # segment runs from a region start to the next — compaction removed
-    # the gaps, and regions never span rows).
+    # Region maxima: one reduceat over the kept values (each segment runs
+    # from a region start to the next; regions never span rows).  The
+    # first kept position equal to its region's max is that region's
+    # first maximum, i.e. ``np.argmax`` of the region: an earlier equal
+    # sample would itself be an earlier maximum.
     region_max = np.maximum.reduceat(vals, boundaries)
-
-    # First in-region position equal to the region max == np.argmax of
-    # the region (float equality against an exact maximum).  int32 region
-    # ids halve the cumsum traffic; the guard keeps pathological batches
-    # (>2**31 in-region samples) exact.
-    counter = np.int32 if in_region.size < 2**31 else np.intp
-    region_of = np.cumsum(is_start, dtype=counter)
-    region_of -= 1
-    is_max = vals == region_max[region_of]
-    max_regions = region_of[is_max]
-    # ``max_regions`` is sorted (flat order), so the first hit of each
-    # region is wherever the region id changes.
-    first = np.concatenate(
-        [[0], np.flatnonzero(max_regions[1:] != max_regions[:-1]) + 1]
-    )
-    peak_flat = in_region[is_max][first]
-    return (peak_flat // length).astype(int), (peak_flat % length).astype(int)
+    sizes = np.diff(boundaries, append=kept.size)
+    hits = np.flatnonzero(vals == np.repeat(region_max, sizes))
+    if hits.size != boundaries.size:
+        # Tied maxima: keep the first hit of each region (hits are in
+        # flat order, so a region's first hit is where its id changes).
+        region = np.searchsorted(boundaries, hits, side="right")
+        first = np.empty(hits.size, dtype=bool)
+        first[0] = True
+        np.not_equal(region[1:], region[:-1], out=first[1:])
+        hits = hits[first]
+    return np.divmod(kept[hits], length)
 
 
 def peak_intervals_to_bpm_batch(  # hot-path

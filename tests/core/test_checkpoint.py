@@ -275,6 +275,21 @@ class TestFleetJournal:
         assert resumed.attempts(0) == 1
         assert resumed.shards_with(ShardStatus.FAILED) == [1]
 
+    def test_mark_many_persists_every_shard_in_one_write(self, tmp_path, monkeypatch):
+        journal = FleetJournal(tmp_path)
+        journal.open_run(self.PAYLOAD, self.SHARDS, "{}")
+        writes = []
+        original = FleetJournal._write
+        monkeypatch.setattr(
+            FleetJournal, "_write", lambda self: (writes.append(1), original(self))
+        )
+        journal.mark_many([0, 1], ShardStatus.RUNNING, attempt=True)
+        assert len(writes) == 1
+        resumed = FleetJournal(tmp_path)
+        assert resumed.open_run(self.PAYLOAD, self.SHARDS, "{}") is True
+        assert resumed.statuses() == [ShardStatus.RUNNING, ShardStatus.RUNNING]
+        assert [resumed.attempts(0), resumed.attempts(1)] == [1, 1]
+
     def test_foreign_fingerprint_starts_clean(self, tmp_path):
         journal = FleetJournal(tmp_path)
         journal.open_run(self.PAYLOAD, self.SHARDS, "{}")

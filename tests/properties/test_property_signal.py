@@ -9,6 +9,7 @@ from repro.signal.features import FEATURE_CHUNK, accelerometer_features, feature
 from repro.signal.filters import moving_average, standardize
 from repro.signal.peaks import (
     adaptive_threshold_peaks,
+    adaptive_threshold_peaks_batch,
     count_sign_changes,
     count_sign_changes_batch,
     find_peaks_simple,
@@ -67,6 +68,26 @@ class TestPeakProperties:
         # Each reported peak lies strictly above the signal mean-threshold at
         # that index only when any sample does; at minimum indices are sorted.
         assert np.all(np.diff(peaks) > 0)
+
+    @given(
+        arrays(
+            dtype=st.sampled_from([np.float64, np.float32]),
+            shape=st.tuples(
+                st.integers(min_value=1, max_value=6),
+                st.integers(min_value=1, max_value=40),
+            ),
+            elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]),
+        ),
+        st.integers(min_value=1, max_value=30),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_batched_adaptive_threshold_peaks_match_scalar(self, x, window):
+        """Few distinct levels: ties, plateaus and signed zeros everywhere."""
+        rows, positions = adaptive_threshold_peaks_batch(x, window=window)
+        for i in range(x.shape[0]):
+            np.testing.assert_array_equal(
+                positions[rows == i], adaptive_threshold_peaks(x[i], window=window)
+            )
 
     @given(finite_signal)
     @settings(max_examples=60, deadline=None)

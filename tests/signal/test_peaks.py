@@ -108,6 +108,26 @@ class TestAdaptiveThresholdPeaksBatch:
         x[3] = np.sin(np.linspace(0, 12 * np.pi, 64))
         self.assert_rows_identical(x)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tied_maxima_match_scalar(self, dtype):
+        """Plateaus at a region's maximum resolve to the first sample."""
+        rng = np.random.default_rng(7)
+        x = np.round(rng.standard_normal((96, 48))).astype(dtype)
+        x[0] = 0.0
+        x[0, 10:14] = 2.0  # one flat-topped region
+        x[1] = -x[1]  # signed zeros tie with each other
+        self.assert_rows_identical(x)
+        self.assert_rows_identical(x, window=3)
+
+    def test_infinite_samples_match_scalar(self):
+        rng = np.random.default_rng(11)
+        x = np.round(rng.standard_normal((8, 40)))
+        x[0, 5] = np.inf
+        x[1, 20] = -np.inf
+        x[2, 39] = np.inf
+        with np.errstate(invalid="ignore"):
+            self.assert_rows_identical(x, window=4)
+
     def test_empty_batches(self):
         rows, positions = adaptive_threshold_peaks_batch(np.zeros((0, 32)))
         assert rows.size == 0 and positions.size == 0
