@@ -733,7 +733,7 @@ class FleetExecutor:
             if not indices:
                 return
             # One journal write marks the whole batch RUNNING before any
-            # of it reaches the pool, instead of one write per shard.
+            # of it reaches the pool.
             if journal is not None:
                 journal.mark_many(indices, ShardStatus.RUNNING, attempt=True)
             for index in indices:

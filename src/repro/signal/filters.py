@@ -79,8 +79,7 @@ def moving_average_batch(x: np.ndarray, window: int) -> np.ndarray:  # hot-path
     if length >= window:
         # Steady state, written in place: the first full window has no
         # sample to drop (``cumsum - 0`` is exact, so it is skipped), and
-        # the difference is divided where it lands instead of going
-        # through a zero-padded shifted copy and two temporaries.
+        # the difference is divided where it lands.
         np.divide(cumsum[:, window - 1], window, out=out[:, window - 1])
         np.subtract(cumsum[:, window:], cumsum[:, :-window], out=out[:, window:])
         np.divide(out[:, window:], window, out=out[:, window:])
