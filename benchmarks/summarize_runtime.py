@@ -5,7 +5,7 @@ Runs the fixed synthetic workloads of :mod:`repro.eval.benchmarking` —
 the 10k-window single-subject workload through both execution paths of
 the CHRIS runtime, and the 50-subject x 2k-window fleet through a
 per-subject ``run_many`` loop, one fleet-wide ``run_many`` and the
-process-pool executor (``"fleet"`` block),
+sharded ``FleetExecutor`` (``"fleet"`` block),
 through the online dynamic-session scheduler (``"scheduler"`` block),
 through the stacked-state dispatch on a stateful-heavy zoo
 (``"stateful_fleet"`` block: fused ``predict_fleet`` vs the scalar
@@ -19,7 +19,7 @@ block: batched AT and frozen TimePPG at float32 vs the float64
 reference, with per-dtype throughputs and equivalence flags), and
 through the crash-safe checkpointed fleet
 path (``"checkpoint"`` block: journal + atomic shard staging vs the
-unstaged pool, plus the all-shards-staged resume replay), and through
+unstaged executor, plus the all-shards-staged resume replay), and through
 the online serving engine (``"latency"`` block: paced streaming
 arrivals under the deadline policy with p50/p95/p99 completion latency,
 deadline-miss fraction, and the saturated deadline-vs-drain throughput
@@ -94,7 +94,7 @@ def append_history(outcome: dict, history_path: Path) -> None:
         "fleet_best_windows_per_s": max(
             outcome["fleet"]["sequential_windows_per_s"],
             outcome["fleet"]["mega_windows_per_s"],
-            outcome["fleet"]["pool_windows_per_s"],
+            outcome["fleet"]["executor_windows_per_s"],
         ),
         "scheduler_windows_per_s": outcome["scheduler"]["scheduler_windows_per_s"],
         "stateful_stacked_windows_per_s": outcome["stateful_fleet"][

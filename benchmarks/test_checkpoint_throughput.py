@@ -2,13 +2,13 @@
 
 Crash-safe fleet execution pays for its journal writes and atomic shard
 staging on every run; this benchmark replays the 50-subject x 2k-window
-fleet through the unstaged pool path and the checkpointed path — both
-via the scalar (per-window streaming) replay, so the two sides take the
-identical execution path and only durability differs — verifies both
-(and the all-shards-staged resume replay) reproduce identical decisions,
-and pins the checkpointed throughput at >= 0.9x the unstaged pool so the
-durability layer can never quietly eat more than ~10% of the fleet
-replay.  The mega-batched replay vectorizes per-window compute down to
+fleet through the unstaged executor and the checkpointed one — same
+shard layout, both via the scalar (per-window streaming) replay, so the
+two sides take the identical execution path and only durability
+differs — verifies both (and the all-shards-staged resume replay)
+reproduce identical decisions, and pins the checkpointed throughput at
+>= 0.9x the unstaged executor so the durability layer can never quietly
+eat more than ~10% of the fleet replay.  The mega-batched replay vectorizes per-window compute down to
 ~1µs, making the same absolute staging cost a much larger fraction of a
 much smaller wall time; its ratio is emitted for visibility, not pinned.
 """
@@ -37,8 +37,7 @@ def test_checkpoint_throughput_floor(experiment, results_dir):
             [
                 f"workload: {outcome['n_subjects']} subjects x "
                 f"{outcome['n_windows_per_subject']} windows "
-                f"({outcome['n_windows_total']} total), "
-                f"{outcome['workers']} worker(s), scalar replay",
+                f"({outcome['n_windows_total']} total), scalar replay",
                 f"unstaged:     {outcome['unstaged_windows_per_s']:,.0f} windows/s "
                 f"({outcome['unstaged_seconds']:.3f} s)",
                 f"checkpointed: {outcome['checkpointed_windows_per_s']:,.0f} windows/s "

@@ -1,12 +1,12 @@
-"""Fleet-throughput benchmark: mega-batched / pool vs sequential replay.
+"""Fleet-throughput benchmark: mega-batched / executor vs sequential replay.
 
 The fleet execution engine stacks all subjects' windows into per-model
 groups across the whole population (one ``predict`` call per model for
-the entire fleet) and can shard subjects across worker processes; this
-benchmark replays a 50-subject x 2k-window fleet through a per-subject
-``run_many([subject])`` loop and both fast paths, verifies the decisions
-are bit-identical, and pins the mega-batched speedup floor at 3x so
-regressions fail loudly.
+the entire fleet), and ``FleetExecutor`` replays the same fleet in
+shards; this benchmark replays a 50-subject x 2k-window fleet through a
+per-subject ``run_many([subject])`` loop and both fast paths, verifies
+the decisions are bit-identical, and pins the mega-batched speedup floor
+at 3x so regressions fail loudly.
 """
 
 import json
@@ -38,9 +38,9 @@ def test_fleet_throughput_speedup(experiment, results_dir):
                 f"mega-batch: {outcome['mega_subjects_per_s']:,.0f} subjects/s "
                 f"({outcome['mega_seconds']:.3f} s, "
                 f"{outcome['mega_speedup']:.1f}x, floor {MIN_FLEET_SPEEDUP:.0f}x)",
-                f"pool:       {outcome['pool_subjects_per_s']:,.0f} subjects/s "
-                f"({outcome['pool_seconds']:.3f} s, "
-                f"{outcome['pool_speedup']:.1f}x over {outcome['workers']} worker(s))",
+                f"executor:   {outcome['executor_subjects_per_s']:,.0f} subjects/s "
+                f"({outcome['executor_seconds']:.3f} s, "
+                f"{outcome['executor_speedup']:.1f}x)",
                 f"MAE {outcome['mae_bpm']:.2f} BPM, "
                 f"{100 * outcome['offload_fraction']:.1f}% offloaded",
             ]

@@ -17,7 +17,7 @@ destroyed.  This example walks the whole durability story on a
    and the merged fleet is bit-identical to a never-interrupted run;
 4. corrupt one staged shard on disk and resume again: the checksum
    catches it, and the shard is quietly re-executed, never trusted;
-5. inject a deterministic worker fault with the ``repro.core.faults``
+5. inject a deterministic shard fault with the ``repro.core.faults``
    harness: a transiently failing shard is retried with backoff, while a
    persistently failing one is quarantined per-subject instead of
    poisoning the fleet.
@@ -48,9 +48,8 @@ def journal_summary(checkpoint_dir: str) -> str:
 
 
 def make_executor(experiment, checkpoint_dir=None, **kwargs) -> FleetExecutor:
-    """A pooled executor over a pristine copy of the calibrated runtime."""
-    kwargs.setdefault("max_workers", 2)
-    kwargs.setdefault("shards_per_worker", 2)
+    """A 4-shard executor over a pristine copy of the calibrated runtime."""
+    kwargs.setdefault("shards_per_worker", 4)
     return FleetExecutor(
         copy.deepcopy(experiment.runtime()), checkpoint_dir=checkpoint_dir, **kwargs
     )

@@ -48,7 +48,7 @@ def main() -> None:
     start = time.perf_counter()
     collected = {}
     with FleetScheduler(
-        experiment.runtime(), constraint, max_workers=1, use_oracle_difficulty=True
+        experiment.runtime(), constraint, use_oracle_difficulty=True
     ) as scheduler:
         # Wave 1: the stock sub-fleet comes online...
         for subject in subjects[:60]:

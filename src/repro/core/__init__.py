@@ -38,7 +38,7 @@ from repro.core.profiling import ConfigurationProfiler, ConfigurationTable, Prof
 from repro.core.pareto import is_dominated, pareto_front, pareto_indices
 from repro.core.decision_engine import Constraint, ConstraintKind, DecisionEngine
 from repro.core.runtime import CHRISRuntime, FleetResult, RunResult, WindowDecision
-from repro.core.fleet import FleetExecutor, SharedSubjectStore
+from repro.core.fleet import FleetExecutor
 from repro.core.scheduler import FleetScheduler, FleetSession, SessionState
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "RunStager",
     "SessionState",
     "ShardStatus",
-    "SharedSubjectStore",
     "StagedShardError",
     "WindowDecision",
     "faults",

@@ -30,7 +30,7 @@ in its ``checkpoint_dir``:
     starts clean instead of resuming into wrong results.
 
 Both structures live in one directory and are written only by the
-coordinating (parent) process; workers never touch disk.  Resume
+executor, between shards, never from inside a shard's execution.  Resume
 equivalence — a resumed run being bit-identical to an uninterrupted one —
 is guaranteed by the executor's existing plan-once/fast-forward
 machinery and pinned by the property suite.

@@ -11,27 +11,16 @@ Design
 ------
 A :class:`FaultPlan` is a directory of *token files*, one per armed
 fault.  Production code calls :func:`fire` at a few named injection
-sites (``"fleet.shard"`` in the pool worker, ``"stager.write"`` before a
-staging commit, ``"scheduler.batch"`` before batch execution); firing a
-site consumes one matching token via :func:`os.unlink` — which is atomic
-on every supported platform — and then acts.  Because consumption is a
-filesystem operation, a fault fires **exactly once** no matter which
-process hits the site first: pool workers (forked or respawned after a
-worker death) share the token directory, not in-memory counters that a
-re-fork would silently re-arm.
+sites (``"fleet.shard"`` before a shard executes, ``"stager.write"``
+before a staging commit, ``"scheduler.batch"`` before batch execution);
+firing a site consumes one matching token via :func:`os.unlink` — which
+is atomic on every supported platform — and raises
+:class:`InjectedFault` there.  Because consumption is a filesystem
+operation, a fault fires **exactly once** however many times the site
+is reached, and an armed plan survives on disk between runs.
 
 With no plan activated, :func:`fire` is a no-op costing one module-level
 ``None`` check — the production hot paths pay nothing.
-
-Fault kinds
------------
-``"exception"``
-    Raise :class:`InjectedFault` at the site (a shard task or batch
-    failing mid-execution).
-``"exit"``
-    ``os._exit(WORKER_EXIT_CODE)`` — an abrupt worker death.  In a
-    process pool the parent observes ``BrokenProcessPool``; the fleet
-    executor must rebuild the pool and retry.
 
 Two further helpers damage durable state directly (no injection site
 needed): :func:`corrupt_staged_shard` tears or bit-flips a staged shard
@@ -51,7 +40,6 @@ from typing import Iterator
 __all__ = [
     "InjectedFault",
     "FaultPlan",
-    "WORKER_EXIT_CODE",
     "activate",
     "deactivate",
     "fire",
@@ -60,19 +48,9 @@ __all__ = [
     "stale_journal",
 ]
 
-#: Exit status of an injected ``"exit"`` fault — distinctive enough to
-#: recognize in a crashed worker's status, unlike a generic 1.
-WORKER_EXIT_CODE = 87
-
-#: Environment variable carrying the active plan's directory so injection
-#: sites in *worker processes* (including pools rebuilt after a worker
-#: death, and spawn-start-method workers that inherit no module globals)
-#: see the same plan as the parent.
-_ENV_VAR = "REPRO_FAULT_PLAN_DIR"
-
 _TOKEN_SUFFIX = ".fault"
 
-_KINDS = ("exception", "exit")
+_KINDS = ("exception",)
 
 
 class InjectedFault(RuntimeError):
@@ -83,13 +61,6 @@ class InjectedFault(RuntimeError):
         super().__init__(f"injected fault at {site!r}{at}")
         self.site = site
         self.shard = shard
-
-    def __reduce__(self):
-        # Default exception pickling replays ``args`` (the formatted
-        # message) into ``__init__``, which takes (site, shard) — a pool
-        # worker's InjectedFault would fail to unpickle in the parent and
-        # break the whole pool.  Reconstruct from the real fields instead.
-        return (type(self), (self.site, self.shard))
 
 
 class FaultPlan:
@@ -110,8 +81,8 @@ class FaultPlan:
         """Arm ``times`` one-shot faults at ``site``.
 
         ``shard`` restricts the fault to one shard index; ``None`` arms a
-        wildcard that matches any firing of the site.  ``kind`` selects
-        the action (see the module docstring).
+        wildcard that matches any firing of the site.  ``kind`` must be
+        ``"exception"``: a firing raises :class:`InjectedFault`.
         """
         if times < 1:
             raise ValueError(f"times must be >= 1, got {times}")
@@ -148,14 +119,13 @@ class FaultPlan:
 
         A token matches when its site equals ``site`` and its shard tag is
         the wildcard or equals ``shard``.  Consumption (``os.unlink``) is
-        atomic, so concurrent firings from several processes consume
-        distinct tokens.
+        atomic, so concurrent firings consume distinct tokens.
         """
         if not self.directory.is_dir():
             return
         for token in sorted(self.directory.glob(f"*{_TOKEN_SUFFIX}")):
             try:
-                token_site, shard_tag, kind, _ = token.name.split("@", 3)
+                token_site, shard_tag, _, _ = token.name.split("@", 3)
             except ValueError:  # pragma: no cover - foreign file in the dir
                 continue
             if token_site != site:
@@ -165,34 +135,24 @@ class FaultPlan:
             try:
                 os.unlink(token)
             except FileNotFoundError:
-                continue  # another process consumed it first
-            self._act(kind, site, shard)
-            return
-
-    @staticmethod
-    def _act(kind: str, site: str, shard: int | None) -> None:
-        if kind == "exit":
-            os._exit(WORKER_EXIT_CODE)
-        raise InjectedFault(site, shard)
+                continue  # a concurrent firing consumed it first
+            raise InjectedFault(site, shard)
 
 
-#: The plan activated in this process; worker processes fall back to the
-#: environment variable (see ``_ENV_VAR``).
+#: The plan activated in this process.
 _ACTIVE: FaultPlan | None = None
 
 
 def activate(plan: FaultPlan) -> None:
-    """Install ``plan`` process-wide and export it to child processes."""
+    """Install ``plan`` process-wide."""
     global _ACTIVE
     _ACTIVE = plan
-    os.environ[_ENV_VAR] = str(plan.directory)
 
 
 def deactivate() -> None:
     """Remove the active plan (idempotent)."""
     global _ACTIVE
     _ACTIVE = None
-    os.environ.pop(_ENV_VAR, None)
 
 
 @contextmanager
@@ -208,12 +168,8 @@ def injected_faults(plan: FaultPlan) -> Iterator[FaultPlan]:
 def fire(site: str, shard: int | None = None) -> None:
     """Fire an injection site against the active plan (no-op when idle)."""
     plan = _ACTIVE
-    if plan is None:
-        directory = os.environ.get(_ENV_VAR)
-        if directory is None:
-            return
-        plan = FaultPlan(directory)
-    plan.fire(site, shard)
+    if plan is not None:
+        plan.fire(site, shard)
 
 
 # -------------------------------------------------- durable-state damage

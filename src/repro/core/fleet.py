@@ -1,16 +1,17 @@
-"""Process-pool fleet execution engine.
+"""In-process fleet execution engine.
 
-:class:`FleetExecutor` scales :meth:`repro.core.runtime.CHRISRuntime.run_many`
-across CPU cores: the subject list is split into contiguous shards, each
-shard is replayed by a ``concurrent.futures`` worker process, and
-per-subject :class:`~repro.core.runtime.RunResult` objects are streamed
-back to the parent as shards complete (:meth:`FleetExecutor.iter_runs`)
-or merged into one :class:`~repro.core.runtime.FleetResult` in fleet
-order (:meth:`FleetExecutor.run_fleet`).
+:class:`FleetExecutor` replays a fixed fleet of subjects through the
+fleet kernel of :class:`repro.core.runtime.CHRISRuntime` in contiguous
+*shards*, streaming per-subject :class:`~repro.core.runtime.RunResult`
+objects back as each shard completes (:meth:`FleetExecutor.iter_runs`)
+or merging them into one :class:`~repro.core.runtime.FleetResult` in
+fleet order (:meth:`FleetExecutor.run_fleet`).  Everything runs in the
+calling process: a shard is the unit of failure isolation and of
+durability, not of parallelism.
 
 Decision-for-decision equivalence with sequential replay
 --------------------------------------------------------
-The parent plans the entire fleet once (planning is vectorized and
+The executor plans the entire fleet once (planning is vectorized and
 side-effect free) and every shard executes its slice of those plans
 through the runtime's fleet kernel — or, with ``batched=False``, its
 per-window oracle — so difficulty inference and routing never repeat
@@ -23,47 +24,29 @@ subject, but *cross-run* state — the calibrated models' Laplace streams —
 advances monotonically across the whole fleet, so a shard that starts at
 subject ``k`` must first put every predictor in the state sequential
 replay would have reached after subjects ``0..k-1``.  The plans give
-each model's per-subject window counts, and every shard task
-fast-forwards its private predictor copies with
+each model's per-subject window counts, and every shard fast-forwards a
+private deep copy of the runtime with
 :meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state` before
-executing its subjects.  The result is bit-identical to the sequential
-path no matter how many workers execute or how shards are interleaved.
+executing its subjects.  A shard is therefore a pure function of the
+pristine runtime, its plans and its prior window counts: the result is
+bit-identical to the sequential path whatever the shard layout, and
+whether a shard runs first, after a retry, or after a restart.
 (With a runtime built under ``equivalence="tolerance"`` the contract
 relaxes exactly as documented in :mod:`repro.core.runtime`:
 tolerance-fused models' predictions may move within the documented
 atol/rtol because shard boundaries change their fused batch shapes;
 every other field stays bit-identical.)
 
-Cost tables are not re-profiled per worker: the parent eagerly profiles
-its :class:`~repro.hw.platform.CostTableRegistry` for the zoo's
-deployments (every hardware revision of a heterogeneous fleet),
-serializes it to JSON, and each worker loads the table instead of
-recomputing it.
-
-Shard tasks deep-copy the pristine worker runtime before touching any
-state, so a worker that happens to execute several shards (pools do not
-balance tasks evenly) cannot leak predictor state between them.
-
-Shared-memory signals
----------------------
-Under the ``fork`` start method workers inherit the subjects' signal
-arrays through process memory for free.  ``spawn``-based platforms would
-instead pickle the whole fleet once per worker; to avoid that,
-:class:`SharedSubjectStore` copies the per-subject arrays into
-:mod:`multiprocessing.shared_memory` blocks once, and every worker
-*attaches* zero-copy NumPy views.  :class:`FleetExecutor` turns this on
-automatically whenever the effective start method is not ``fork`` (and
-on request via ``share_signals=True``).
-
 Durability and fault tolerance
 ------------------------------
-A failed shard no longer takes the fleet down with it: shard tasks are
-retried with capped exponential backoff (``max_retries`` /
-``retry_backoff_s``), a worker *death* (``BrokenProcessPool``) rebuilds
-the pool and retries every in-flight shard, and a shard that exhausts
-its retries is **quarantined** — its subjects surface as per-subject
-``FAILED`` entries in :attr:`~repro.core.runtime.FleetResult.failed`
-while the rest of the fleet completes normally.
+A failed shard does not take the fleet down with it: shards are retried
+with capped exponential backoff (``max_retries`` / ``retry_backoff_s``),
+and a shard that exhausts its retries is **quarantined** — its subjects
+surface as per-subject ``FAILED`` entries in
+:attr:`~repro.core.runtime.FleetResult.failed` while the rest of the
+fleet completes normally.  Every run shares one shard layout, so the
+blast radius of a failure is one shard whether or not the run is
+checkpointed.
 
 With a ``checkpoint_dir``, runs are additionally *crash-safe*: each
 completed shard's results are staged to disk through
@@ -86,12 +69,7 @@ from __future__ import annotations
 import copy
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import multiprocessing
 
 import numpy as np
 
@@ -110,233 +88,36 @@ from repro.core.runtime import (
     _check_unique_subject_ids,
 )
 from repro.data.dataset import WindowedSubject
-from repro.hw.platform import CostTableRegistry, WearableSystem
+from repro.hw.platform import WearableSystem
 
 #: Upper bound on one retry backoff sleep, whatever the attempt count.
 _BACKOFF_CAP_S = 2.0
 
-#: Worker-process state installed by :func:`_init_fleet_worker`.
-#: Deliberately lock-free (REP002 scans this module but nothing here is
-#: declared ``# guarded-by``): the dict is written once per *process* by
-#: the pool initializer and the executor uses process — not thread —
-#: workers, so no two threads ever share it.
-_WORKER_STATE: dict = {}
-
-
-#: ``WindowedSubject`` array fields mirrored into shared memory.  Each
-#: block keeps the fleet's own dtype (checked uniform by ``supports``),
-#: so attached views are bit-identical to the originals — a float32
-#: fleet must not silently become float64 in the workers.
-_SHARED_FIELDS: tuple[str, ...] = ("ppg_windows", "accel_windows", "activity", "hr")
-
-
-class SharedSubjectStore:
-    """Fleet signal arrays in :mod:`multiprocessing.shared_memory` blocks.
-
-    One block per array field, holding all subjects' windows concatenated
-    along axis 0; the picklable :attr:`manifest` records block names,
-    shapes and per-subject offsets, so worker processes :meth:`attach`
-    zero-copy views instead of receiving pickled copies.  The creating
-    process owns the blocks: call :meth:`close` and :meth:`unlink` when
-    every consumer is done (closing the pool first).
-    """
-
-    def __init__(self, subjects: Sequence[WindowedSubject]) -> None:
-        subjects = list(subjects)
-        if not subjects:
-            raise ValueError("cannot share an empty fleet")
-        if not self.supports(subjects):
-            raise ValueError(
-                "subjects have inconsistent window geometry; shared-memory "
-                "blocks require uniform trailing array dimensions and dtypes"
-            )
-        self._shms: list[shared_memory.SharedMemory] = []
-        blocks: dict[str, tuple[str, tuple[int, ...], str]] = {}
-        counts = [s.n_windows for s in subjects]
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        try:
-            for field in _SHARED_FIELDS:
-                dtype = getattr(subjects[0], field).dtype
-                arrays = [np.ascontiguousarray(getattr(s, field)) for s in subjects]
-                shape = (int(bounds[-1]), *arrays[0].shape[1:])
-                size = max(1, int(np.prod(shape, dtype=np.int64)) * dtype.itemsize)
-                shm = shared_memory.SharedMemory(create=True, size=size)  # lifecycle-ok: owned via self._shms; close()/unlink() release, and the except below cleans up a partial build
-                self._shms.append(shm)
-                view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-                for array, start, stop in zip(arrays, bounds[:-1], bounds[1:]):
-                    view[start:stop] = array
-                blocks[field] = (shm.name, shape, np.dtype(dtype).str)
-        except BaseException:
-            # A failure on a later block must not strand the earlier ones
-            # in /dev/shm until interpreter exit.
-            self.close()
-            self.unlink()
-            raise
-        self.manifest = {
-            "blocks": blocks,
-            "subjects": [
-                (s.subject_id, int(start), int(stop), s.spec)
-                for s, start, stop in zip(subjects, bounds[:-1], bounds[1:])
-            ],
-        }
-
-    @staticmethod
-    def supports(subjects: Sequence[WindowedSubject]) -> bool:
-        """Whether the fleet's arrays can share one block per field."""
-        if not subjects:
-            return False
-        first = subjects[0]
-        return all(
-            getattr(s, field).shape[1:] == getattr(first, field).shape[1:]
-            and getattr(s, field).dtype == getattr(first, field).dtype
-            for s in subjects
-            for field in _SHARED_FIELDS
-        )
-
-    @classmethod
-    def attach(cls, manifest: dict) -> tuple[list, list[WindowedSubject]]:
-        """Open the blocks of a :attr:`manifest` and rebuild subject views.
-
-        Returns ``(handles, subjects)``; the caller must keep ``handles``
-        referenced for as long as the subjects' arrays are in use (the
-        views borrow the mapped buffers).  Pool workers share the parent's
-        resource tracker, so attaching re-registers the same names
-        idempotently and the creator's :meth:`unlink` retires them once.
-        """
-        handles = []
-        views: dict[str, np.ndarray] = {}
-        for field, (name, shape, dtype_str) in manifest["blocks"].items():
-            shm = shared_memory.SharedMemory(name=name)  # lifecycle-ok: ownership transfers to the returned store; detach() closes every handle
-            handles.append(shm)
-            views[field] = np.ndarray(tuple(shape), dtype=np.dtype(dtype_str), buffer=shm.buf)
-        subjects = [
-            WindowedSubject(
-                subject_id=sid,
-                ppg_windows=views["ppg_windows"][start:stop],
-                accel_windows=views["accel_windows"][start:stop],
-                activity=views["activity"][start:stop],
-                hr=views["hr"][start:stop],
-                spec=spec,
-            )
-            for sid, start, stop, spec in manifest["subjects"]
-        ]
-        return handles, subjects
-
-    def close(self) -> None:
-        """Detach this process's mappings (the blocks stay alive)."""
-        for shm in self._shms:
-            shm.close()
-
-    def unlink(self) -> None:
-        """Destroy the blocks (call after every consumer detached)."""
-        for shm in self._shms:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double unlink
-                pass
-
-
-def _init_fleet_worker(
-    runtime: CHRISRuntime,
-    subjects: "Sequence[WindowedSubject] | None",
-    registry_json: str,
-    systems: Mapping[str, WearableSystem],
-    shared_manifest: "dict | None",
-) -> None:
-    """Install the shared fleet context in a pool worker.
-
-    With the (default) ``fork`` start method the arguments are inherited
-    via process memory, not pickled, so the big signal arrays are never
-    serialized; under ``spawn`` the executor ships a
-    :class:`SharedSubjectStore` manifest instead and the worker attaches
-    zero-copy views (``subjects`` is then ``None``).
-    """
-    if shared_manifest is not None:
-        handles, subjects = SharedSubjectStore.attach(shared_manifest)
-        _WORKER_STATE["shared_handles"] = handles
-    _WORKER_STATE["runtime"] = runtime
-    _WORKER_STATE["subjects"] = subjects
-    registry = CostTableRegistry.from_json(registry_json)
-    # The parent profiled every revision the fleet can touch before
-    # serializing; a miss in the worker therefore means the wrong or a
-    # partial table was shipped — fail loudly instead of re-profiling.
-    registry.strict = True
-    _WORKER_STATE["cost_registry"] = registry
-    _WORKER_STATE["systems"] = systems
-
-
-def _run_fleet_shard(
-    shard_index: int,
-    start: int,
-    stop: int,
-    prior_windows: Mapping[str, int],
-    plans: list,
-    batched: bool,
-) -> list[tuple[str, RunResult]]:
-    """Execute ``subjects[start:stop]`` from a pristine, fast-forwarded state.
-
-    ``prior_windows`` maps each zoo model to the number of windows the
-    plan routes to it across all subjects *before* this shard; advancing
-    by those counts reproduces the predictor state sequential replay
-    would carry into subject ``start``.  ``plans`` are this shard's slice
-    of the parent's fleet plans.
-    """
-    faults.fire("fleet.shard", shard=shard_index)
-    runtime: CHRISRuntime = copy.deepcopy(_WORKER_STATE["runtime"])
-    runtime.system.cost_registry = _WORKER_STATE["cost_registry"]
-    systems: Mapping[str, WearableSystem] = _WORKER_STATE["systems"]
-    for system in systems.values():
-        system.cost_registry = _WORKER_STATE["cost_registry"]
-    for entry in runtime.zoo:
-        entry.predictor.advance_fleet_state(int(prior_windows.get(entry.name, 0)))
-    subjects = _WORKER_STATE["subjects"][start:stop]
-    shard_ids = {s.subject_id for s in subjects}
-    shard_systems = {sid: sys for sid, sys in systems.items() if sid in shard_ids}
-    fleet = runtime._run_many_planned(
-        subjects, plans, systems=shard_systems, batched=batched
-    )
-    return list(fleet.results.items())
-
 
 class FleetExecutor:
-    """Shard a fleet of subjects across worker processes and stream results.
+    """Replay a fleet of subjects shard by shard and stream the results.
 
     Every :meth:`iter_runs` / :meth:`run_fleet` call replays from the
-    runtime's *current* predictor state without mutating it (shards — and
-    the in-process fast path — work on pristine copies), so repeated
-    calls on one executor produce identical results regardless of worker
-    or shard count.  This differs from calling ``runtime.run_many``
-    directly, which advances the calibrated models' random streams
-    in place.  The executor plans the whole fleet once, in the calling
-    process; every shard — pooled, in-process or resumed — executes its
-    slice of those plans.
+    runtime's *current* predictor state without mutating it (every shard
+    works on a pristine copy), so repeated calls on one executor produce
+    identical results whatever the shard layout.  This differs from
+    calling ``runtime.run_many`` directly, which advances the calibrated
+    models' random streams in place.  The executor plans the whole fleet
+    once; every shard — first run, retry or resume — executes its slice
+    of those plans.
 
     Parameters
     ----------
     runtime:
-        The CHRIS runtime to replicate into workers (its zoo, engine,
-        system and difficulty detector must be picklable, which every
-        in-repo component is).
+        The CHRIS runtime to replay; each shard executes on a deep copy.
     max_workers:
-        Worker process count; ``os.cpu_count()`` when omitted.  With one
-        worker (or one subject) the executor runs in-process — same
-        results, no pool overhead.
+        Kept for callers that still pass it: ``None`` or ``1``.  Fleets
+        execute in process; any other value raises :class:`ValueError`.
     shards_per_worker:
-        Target shards per worker; more shards stream results at a finer
-        granularity and balance uneven subjects at the cost of a little
-        per-shard setup.
-    start_method:
-        ``multiprocessing`` start method; the platform default when
-        omitted (``fork`` on Linux, which shares the subjects' signal
-        arrays with workers without serializing them).
-    share_signals:
-        Whether to put the fleet's signal arrays into
-        :class:`SharedSubjectStore` shared-memory blocks that workers
-        attach instead of receiving pickled copies.  When omitted, shared
-        memory is used exactly when the effective start method is not
-        ``fork`` (``spawn``/``forkserver`` platforms), where it replaces
-        the per-worker pickling of the whole fleet.  Fleets with
-        non-uniform window geometry fall back to pickling.
+        Number of contiguous shards a fleet is split into (capped at the
+        subject count).  A shard is the unit that is retried,
+        quarantined, staged and resumed, and the granularity at which
+        :meth:`iter_runs` streams results.
     checkpoint_dir:
         Directory for the durable shard journal and staged results (see
         the module docstring).  ``None`` (default) runs without
@@ -357,14 +138,15 @@ class FleetExecutor:
         runtime: CHRISRuntime,
         max_workers: int | None = None,
         shards_per_worker: int = 4,
-        start_method: str | None = None,
-        share_signals: bool | None = None,
         checkpoint_dir: "str | os.PathLike | None" = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        if max_workers not in (None, 1):
+            raise ValueError(
+                f"max_workers must be None or 1, got {max_workers}: fleets "
+                f"execute in process"
+            )
         if shards_per_worker < 1:
             raise ValueError(f"shards_per_worker must be >= 1, got {shards_per_worker}")
         if max_retries < 0:
@@ -372,10 +154,8 @@ class FleetExecutor:
         if retry_backoff_s < 0:
             raise ValueError(f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         self.runtime = runtime
-        self.max_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
+        self.max_workers = 1
         self.shards_per_worker = shards_per_worker
-        self.start_method = start_method
-        self.share_signals = share_signals
         self.checkpoint_dir = checkpoint_dir
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
@@ -391,7 +171,7 @@ class FleetExecutor:
         """Contiguous ``(start, stop)`` subject ranges, one per shard."""
         if n_subjects <= 0:
             return []
-        n_shards = min(n_subjects, self.max_workers * self.shards_per_worker)
+        n_shards = min(n_subjects, self.shards_per_worker)
         edges = np.linspace(0, n_subjects, n_shards + 1, dtype=int)
         return [
             (int(start), int(stop))
@@ -425,8 +205,8 @@ class FleetExecutor:
     ) -> Iterator[tuple[str, RunResult]]:
         """Replay the fleet, yielding ``(subject_id, result)`` as shards finish.
 
-        Results within a shard arrive in subject order; across shards they
-        arrive in completion order, so consumers that need fleet order
+        Results arrive shard by shard in subject order, shards loaded
+        from a checkpoint first, so consumers that need fleet order
         should use :meth:`run_fleet` (or reorder themselves).  One run can
         mix hardware revisions: ``systems`` maps subject ids to the
         :class:`~repro.hw.platform.WearableSystem` each device runs.
@@ -450,35 +230,14 @@ class FleetExecutor:
             raise KeyError(f"systems for unknown subjects: {unknown}")
         if not subjects:
             return
-        # Plan the entire fleet once, in the parent: the plans give every
-        # shard's fast-forward counts and are what every shard executes,
-        # so difficulty inference and routing never repeat per shard.
+        # Plan the entire fleet once: the plans give every shard's
+        # fast-forward counts and are what every shard executes, so
+        # difficulty inference and routing never repeat per shard.
         plans = self.runtime._plan_fleet(
             subjects, constraint, use_oracle_difficulty, traces, systems=systems
         )
         bounds = self.shard_bounds(len(subjects))
-        if self.checkpoint_dir is None and (len(bounds) <= 1 or self.max_workers == 1):
-            # In-process fast path: no pool, same decisions.  The whole
-            # fleet replays as a single local shard on a pristine runtime
-            # copy, so the executor never advances the parent runtime's
-            # predictor streams — with retry and quarantine semantics
-            # identical to the sharded paths.
-            whole = [(0, len(subjects))]
-            yield from self._drain_shards(
-                self._run_shards_inprocess(
-                    subjects, whole, [{}], [plans], batched, systems, [0], None
-                ),
-                subjects,
-                whole,
-                None,
-                None,
-                failures,
-            )
-            return
-
         priors = self._prior_window_counts(plans, bounds)
-        self._profile_cost_tables(systems)
-        plan_slices = [plans[start:stop] for start, stop in bounds]
 
         journal = stager = None
         todo = list(range(len(bounds)))
@@ -493,19 +252,16 @@ class FleetExecutor:
                 for index in range(len(bounds))
                 if journal.status(index) is not ShardStatus.DONE
             ]
-            if not todo:
-                return
 
-        if self.max_workers == 1 or len(todo) <= 1:
-            runner = self._run_shards_inprocess(
-                subjects, bounds, priors, plan_slices, batched, systems, todo, journal
-            )
-        else:
-            runner = self._run_shards_pooled(
-                subjects, bounds, priors, plan_slices, batched, systems, todo, journal
-            )
         yield from self._drain_shards(
-            runner, subjects, bounds, journal, stager, failures
+            self._run_shards(
+                subjects, bounds, priors, plans, batched, systems, todo, journal
+            ),
+            subjects,
+            bounds,
+            journal,
+            stager,
+            failures,
         )
 
     def _drain_shards(
@@ -568,6 +324,22 @@ class FleetExecutor:
             "cost_registry": registry.fingerprint(),
         }
 
+    def _profile_cost_tables(self, systems: Mapping[str, WearableSystem]) -> None:
+        """Eagerly profile every revision the fleet can touch.
+
+        Covers the default system plus every distinct hardware revision
+        of a heterogeneous fleet, folding private registries into the
+        runtime's, so the checkpoint fingerprint covers every cost table
+        and stays the same whether or not an earlier run warmed it.
+        """
+        deployments = [entry.deployment for entry in self.runtime.zoo]
+        registry = self.runtime.system.cost_registry
+        registry.profile_system(self.runtime.system, deployments)
+        for system in systems.values():
+            system.cost_registry.profile_system(system, deployments)
+            if system.cost_registry is not registry:
+                registry.merge(system.cost_registry)
+
     def _open_checkpoint(
         self,
         subjects: Sequence[WindowedSubject],
@@ -585,6 +357,7 @@ class FleetExecutor:
         ``RUNNING`` and previously quarantined ``FAILED`` shards are also
         re-set to ``PENDING`` so a restart retries them.
         """
+        self._profile_cost_tables(systems)
         journal = FleetJournal(self.checkpoint_dir)
         stager = RunStager(self.checkpoint_dir)
         payload = self._fingerprint_payload(
@@ -612,7 +385,7 @@ class FleetExecutor:
         return journal, stager, loaded
 
     # ------------------------------------------------------------ execution
-    def _execute_shard_local(
+    def _execute_shard(
         self,
         index: int,
         subjects: Sequence[WindowedSubject],
@@ -622,7 +395,14 @@ class FleetExecutor:
         batched: bool,
         systems: Mapping[str, WearableSystem],
     ) -> list[tuple[str, RunResult]]:
-        """In-process twin of :func:`_run_fleet_shard` (same fault site)."""
+        """Execute ``subjects[start:stop]`` from a pristine, fast-forwarded state.
+
+        ``prior`` maps each zoo model to the number of windows the plan
+        routes to it across all subjects *before* this shard; advancing
+        by those counts reproduces the predictor state sequential replay
+        would carry into subject ``start``.
+        """
+        # Called through the module so a patched ``faults.fire`` sees it.
         faults.fire("fleet.shard", shard=index)
         start, stop = bound
         runtime = copy.deepcopy(self.runtime)
@@ -632,22 +412,22 @@ class FleetExecutor:
         shard_ids = {s.subject_id for s in shard_subjects}
         shard_systems = {sid: sys for sid, sys in systems.items() if sid in shard_ids}
         fleet = runtime._run_many_planned(
-            shard_subjects, plans, systems=shard_systems, batched=batched
+            shard_subjects, plans[start:stop], systems=shard_systems, batched=batched
         )
         return list(fleet.results.items())
 
-    def _run_shards_inprocess(
+    def _run_shards(
         self,
         subjects: Sequence[WindowedSubject],
         bounds: Sequence[tuple[int, int]],
         priors: Sequence[Mapping[str, int]],
-        plan_slices: Sequence[list],
+        plans: list,
         batched: bool,
         systems: Mapping[str, WearableSystem],
         todo: Sequence[int],
         journal: "FleetJournal | None",
     ) -> Iterator[tuple[int, "list[tuple[str, RunResult]] | None", "str | None"]]:
-        """Serial shard runner with retry/backoff and quarantine.
+        """Run shards in order with retry/backoff and quarantine.
 
         Yields ``(shard_index, records, error)`` — exactly one of
         ``records``/``error`` is set.
@@ -658,9 +438,9 @@ class FleetExecutor:
                 if journal is not None:
                     journal.mark(index, ShardStatus.RUNNING, attempt=True)
                 try:
-                    records = self._execute_shard_local(
+                    records = self._execute_shard(
                         index, subjects, bounds[index], priors[index],
-                        plan_slices[index], batched, systems,
+                        plans, batched, systems,
                     )
                 except Exception as exc:
                     attempts += 1
@@ -672,150 +452,6 @@ class FleetExecutor:
                     yield index, records, None
                     break
 
-    def _run_shards_pooled(
-        self,
-        subjects: Sequence[WindowedSubject],
-        bounds: Sequence[tuple[int, int]],
-        priors: Sequence[Mapping[str, int]],
-        plan_slices: Sequence[list],
-        batched: bool,
-        systems: Mapping[str, WearableSystem],
-        todo: Sequence[int],
-        journal: "FleetJournal | None",
-    ) -> Iterator[tuple[int, "list[tuple[str, RunResult]] | None", "str | None"]]:
-        """Pooled shard runner: retry/backoff, pool rebuild, quarantine.
-
-        Same ``(shard_index, records, error)`` protocol as
-        :meth:`_run_shards_inprocess`.  A worker *death*
-        (``BrokenProcessPool``) charges an attempt to every shard whose
-        future it broke, rebuilds the pool, and resubmits what is left.
-        """
-        registry_json = self.runtime.system.cost_registry.to_json()
-        context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method is not None
-            else None
-        )
-        start_method = (
-            self.start_method
-            if self.start_method is not None
-            else multiprocessing.get_start_method()
-        )
-        share = (
-            self.share_signals
-            if self.share_signals is not None
-            else start_method != "fork"
-        )
-        store = (
-            SharedSubjectStore(subjects)
-            if share and SharedSubjectStore.supports(subjects)
-            else None
-        )
-        attempts = {index: 0 for index in todo}
-        inflight: dict[Future, int] = {}
-        pool: "ProcessPoolExecutor | None" = None
-
-        def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(  # lifecycle-ok: ownership transfers to the caller; _run_shards_pooled shuts the pool down in its finally
-                max_workers=min(self.max_workers, len(todo)),
-                mp_context=context,
-                initializer=_init_fleet_worker,
-                initargs=(
-                    self.runtime,
-                    None if store is not None else subjects,
-                    registry_json,
-                    systems,
-                    store.manifest if store is not None else None,
-                ),
-            )
-
-        def submit(indices: Sequence[int]) -> None:
-            if not indices:
-                return
-            # One journal write marks the whole batch RUNNING before any
-            # of it reaches the pool.
-            if journal is not None:
-                journal.mark_many(indices, ShardStatus.RUNNING, attempt=True)
-            for index in indices:
-                start, stop = bounds[index]
-                future = pool.submit(
-                    _run_fleet_shard,
-                    index,
-                    start,
-                    stop,
-                    priors[index],
-                    plan_slices[index],
-                    batched,
-                )
-                inflight[future] = index
-
-        try:
-            pool = make_pool()
-            submit(todo)
-            while inflight:
-                done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-                rebuild = False
-                retry: list[int] = []
-                for future in done:
-                    index = inflight.pop(future)
-                    try:
-                        records = future.result()
-                    except BrokenProcessPool:
-                        rebuild = True
-                        attempts[index] += 1
-                        if attempts[index] > self.max_retries:
-                            yield index, None, "worker process died (BrokenProcessPool)"
-                        else:
-                            retry.append(index)
-                    except Exception as exc:
-                        attempts[index] += 1
-                        if attempts[index] > self.max_retries:
-                            yield index, None, f"{type(exc).__name__}: {exc}"
-                        else:
-                            time.sleep(self._backoff_delay(attempts[index] - 1))
-                            retry.append(index)
-                    else:
-                        yield index, records, None
-                if rebuild:
-                    # The pool is unusable after a worker death; shards
-                    # whose futures never resolved are victims, not
-                    # causes — resubmit them without charging an attempt.
-                    retry.extend(inflight.values())
-                    inflight.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = make_pool()
-                submit(retry)
-        finally:
-            # Abandoning the generator early (consumer break/close) must
-            # not block on shards whose results nobody will read — and
-            # the shared-memory blocks must be unlinked even if pool
-            # construction itself failed.
-            for future in inflight:
-                future.cancel()
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            if store is not None:
-                store.close()
-                store.unlink()
-
-    def _profile_cost_tables(
-        self, systems: Mapping[str, WearableSystem] | None = None
-    ) -> None:
-        """Eagerly profile the cost registry so workers only do table hits.
-
-        Covers the default system plus every distinct hardware revision of
-        a heterogeneous fleet — each revision is profiled exactly once.
-        """
-        deployments = [entry.deployment for entry in self.runtime.zoo]
-        registry = self.runtime.system.cost_registry
-        registry.profile_system(self.runtime.system, deployments)
-        for system in (systems or {}).values():
-            system.cost_registry.profile_system(system, deployments)
-            if system.cost_registry is not registry:
-                # Workers only receive the runtime registry's JSON; fold
-                # private registries in so their tables ship too.
-                registry.merge(system.cost_registry)
-
     # ------------------------------------------------------------ aggregate
     def run_fleet(
         self,
@@ -826,7 +462,7 @@ class FleetExecutor:
         connected_traces: Mapping[str, np.ndarray] | None = None,
         systems: Mapping[str, WearableSystem] | None = None,
     ) -> FleetResult:
-        """Replay the fleet in parallel and merge into fleet (subject) order.
+        """Replay the fleet and merge into fleet (subject) order.
 
         The merged result is decision-for-decision identical to
         ``runtime.run_many`` over the same subjects.  Subjects whose shard

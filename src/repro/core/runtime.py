@@ -82,7 +82,7 @@ explicit runtime policy (``CHRISRuntime(equivalence=...)``):
   :data:`EQUIVALENCE_ATOL` / :data:`EQUIVALENCE_RTOL` — the
   floating-point reassociation of fusing the same windows through
   different batch shapes, pinned by the property suite
-  (``tests/core/test_fleet_properties.py``) across worker counts,
+  (``tests/core/test_fleet_properties.py``) across shard layouts,
   arrivals and retirements.
 
 The policy rides every derived engine automatically:
@@ -153,7 +153,7 @@ EQUIVALENCE_POLICIES = ("bitwise", "tolerance")
 #: * ``"float32"`` — single-precision inference re-rounds every
 #:   intermediate to 24-bit significands, so batch-shape reassociation
 #:   moves predictions by up to ~1e-4 BPM on the [30, 220] BPM range
-#:   (measured ~2e-5 across worker counts 1/2/4); ``atol=1e-3`` bounds
+#:   (measured ~2e-5 across the property suite's fleet layouts); ``atol=1e-3`` bounds
 #:   that with ~50x headroom while still flagging any real divergence,
 #:   which shifts predictions by whole BPM.
 EQUIVALENCE_TOLERANCES: dict[str, tuple[float, float]] = {
@@ -1030,7 +1030,7 @@ class CHRISRuntime:
         fleet-wide arrays that are split into per-subject
         :class:`RunResult` views (NumPy slices, so the split allocates
         nothing per subject).  Fleet-executor shards and scheduler
-        batches call this with plans computed once by their parent, so
+        batches call this with plans computed once per fleet or batch, so
         difficulty inference and routing never repeat.
 
         ``fleet_states``/``fleet_slots`` switch stateful predictors from

@@ -18,8 +18,10 @@ A dispatcher thread drains the arrival queue into *batches*: every
 session waiting when the dispatcher wakes (bounded by
 ``max_batch_size``) is planned and executed as one cross-subject
 mega-batch through the runtime's fleet kernel
-(:meth:`~repro.core.runtime.CHRISRuntime._run_many_planned`),
-dispatched onto a bounded worker pool of ``max_workers`` threads.
+(:meth:`~repro.core.runtime.CHRISRuntime._run_many_planned`).  The
+dispatcher executes each batch itself, so batches run one at a time in
+dispatch order, and arrivals that land while a batch executes keep
+coalescing in the queue until the dispatcher comes back for them.
 Stateful predictors ride the same fused path: each mega-batch allocates
 a stacked :class:`~repro.models.base.FleetState` with one state slot
 per session it fuses — an arriving session gets a fresh slot in the
@@ -61,32 +63,22 @@ tracker state across batches, so nothing ever replays a whole session.
 Pushes that are still queued coalesce in place (one growing window
 batch per stream), which keeps at most one queued session per stream
 and lets the deadline policy fuse an entire SLO window's worth of
-arrivals into one mega-batch.  Streaming requires ``max_workers=1``
-(continuations serialize on the long-lived state).
+arrivals into one mega-batch.
 
 Equivalence contract
 --------------------
 The scheduler is **decision-for-decision identical to sequential
 replay**: collecting every completed session's result reproduces exactly
 ``runtime.run_many(subjects, constraint)`` over the completed sessions
-in submission order, no matter how arrivals were batched or how many
-workers executed.  (Under the runtime's ``equivalence="tolerance"``
+in submission order, no matter how arrivals were batched.  (Under the runtime's ``equivalence="tolerance"``
 policy the contract relaxes exactly as documented in
 :mod:`repro.core.runtime`: tolerance-fused models' *predictions* may
 move within the documented atol/rtol because batch composition depends
 on arrival coalescing; routing, costs and every other field stay
-bit-identical.)  Two mechanisms guarantee this:
-
-* batches are *planned* in submission order on the scheduler's private
-  stream runtime, whose predictors are then fast-forwarded with
-  :meth:`~repro.models.base.HeartRatePredictor.advance_fleet_state` by
-  exactly the windows the batch routes to each model — so the next batch
-  starts from the state sequential replay would have reached;
-* each batch executes on a copy of the stream runtime snapshotted
-  *before* that fast-forward, so concurrent batches never share mutable
-  predictor state (with one worker, batches run serially in dispatch
-  order and the stream runtime executes them directly — execution itself
-  is the fast-forward).
+bit-identical.)  Batches are planned and executed in submission order
+on the scheduler's private stream runtime, so executing a batch
+advances its predictor streams exactly as sequential replay would, and
+the next batch starts from the state sequential replay reaches.
 
 Sessions retired while still queued are never planned and never advance
 any predictor stream — the contract holds over the sessions that
@@ -126,7 +118,6 @@ import queue
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Mapping
@@ -210,7 +201,7 @@ class VirtualClock:
     replays in microseconds of wall time with bit-identical timestamps
     run after run (the same ``Date``-free determinism the fault harness
     gets from seeded triggers).  Thread-safe: the benchmark's submitter
-    advances the clock while the dispatcher and workers read it.
+    advances the clock while the dispatcher reads it.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -306,7 +297,9 @@ class FleetScheduler:
         plays in :meth:`~repro.core.runtime.CHRISRuntime.run_many`, whose
         sequential replay the scheduler reproduces bit-identically.
     max_workers:
-        Worker-thread pool size executing dispatched batches.
+        Kept for callers that still pass it: must be ``1``.  The
+        dispatcher thread executes every batch; any other value raises
+        :class:`ValueError`.
     max_batch_size:
         Upper bound on sessions fused into one mega-batch; ``None``
         (default) fuses everything waiting at dispatch time.
@@ -341,7 +334,7 @@ class FleetScheduler:
         deterministic latency tests and benchmarks.
 
     Use as a context manager (or call :meth:`close`) so the dispatcher
-    thread and worker pool are torn down deterministically.
+    thread is torn down deterministically.
     """
 
     def __init__(
@@ -359,8 +352,11 @@ class FleetScheduler:
         max_streams: int = 64,
         clock: "Callable[[], float] | None" = None,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        if max_workers != 1:
+            raise ValueError(
+                f"max_workers must be 1, got {max_workers}: batches execute "
+                f"in process, on the dispatcher thread"
+            )
         if max_batch_size is not None and max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_retries < 0:
@@ -393,11 +389,10 @@ class FleetScheduler:
         self._runtime = copy.deepcopy(runtime)
         #: Construction-time zoo snapshot plus cumulative per-model window
         #: totals of every batch planned so far.  Together they let the
-        #: scheduler *rebuild* any stream position (retry attempts, serial
+        #: scheduler *rebuild* any stream position (retry attempts, the
         #: restore after a mid-execution failure): predictor state is a
         #: pure function of cumulative windows consumed.  ``_stream_totals``
-        #: is touched only by the dispatcher thread; workers receive
-        #: immutable per-batch copies.
+        #: is touched only by the dispatcher thread.
         self._pristine_zoo = copy.deepcopy(self._runtime.zoo)
         self._stream_totals: dict[str, int] = {}
         self._tickets = itertools.count()
@@ -424,10 +419,10 @@ class FleetScheduler:
         #: Long-lived per-model fleet states backing streaming
         #: continuations.  Created under the lock by the first
         #: ``open_stream`` — before any streaming session can exist — and
-        #: thereafter its *contents* are touched only by the (single,
-        #: streaming requires ``max_workers=1``) executing worker and by
-        #: slot recycling after a stream's last session resolved, so the
-        #: gather/execute/scatter cycle itself runs unlocked.
+        #: thereafter its *contents* are touched only by the dispatcher
+        #: thread executing a batch and by slot recycling after a
+        #: stream's last session resolved, so the gather/execute/scatter
+        #: cycle itself runs unlocked.
         self._fleet_states: dict[str, FleetState] | None = None
         #: Latency samples (one per arrival event): enqueue→dispatch and
         #: enqueue→complete, plus deadline misses and per-batch window
@@ -439,9 +434,6 @@ class FleetScheduler:
         self._deadline_misses = 0  # guarded-by: _lock, _arrivals, _resolved
         self._batch_windows: list[int] = []  # guarded-by: _lock, _arrivals, _resolved
         self._done_q: "queue.Queue[FleetSession]" = queue.Queue()
-        self._pool = ThreadPoolExecutor(  # lifecycle-ok: owned by the scheduler, shut down in close()
-            max_workers=max_workers, thread_name_prefix="fleet-worker"
-        )
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="fleet-dispatcher", daemon=True
         )
@@ -543,16 +535,7 @@ class FleetScheduler:
         overrides the scheduler deadline budget for this stream's
         windows; ``spec`` declares the window geometry (defaults to the
         corpus-wide :data:`~repro.data.dataset.DEFAULT_WINDOW_SPEC`).
-
-        Requires ``max_workers=1`` — continuations serialize on the
-        long-lived state, which is exactly the single-worker execution
-        order.
         """
-        if self.max_workers != 1:
-            raise ValueError(
-                "streaming dispatch requires max_workers=1: predict_fleet "
-                "continuations serialize on the long-lived state slots"
-            )
         with self._lock:
             if self._closed:
                 raise RuntimeError("scheduler is closed")
@@ -754,47 +737,30 @@ class FleetScheduler:
                 )
                 continue
             try:
-                task_runtime, plans, systems, prior, post, slots = self._prepare_batch(batch)
+                plans, systems, prior, post, slots = self._prepare_batch(batch)
             except BaseException as exc:  # noqa: BLE001 - reported per session
                 self._fail_batch(batch, exc)
                 continue
-            try:
-                self._pool.submit(
-                    self._execute_batch, task_runtime, batch, plans, systems, prior, post, slots
-                )
-            except BaseException as exc:  # noqa: BLE001 - pool shut down mid-flight
-                if self.max_workers == 1:
-                    # The serial stream runtime only advances by
-                    # *executing*; with the batch never executing, roll
-                    # the as-if-planned accounting back so the stream
-                    # position and the totals agree again.  (The snapshot
-                    # path already fast-forwarded the stream as planned —
-                    # later batches stay consistent without it.)
-                    self._stream_totals = dict(prior)
-                self._fail_batch(batch, exc)
+            self._execute_batch(batch, plans, systems, prior, post, slots)
 
     def _prepare_batch(
         self, batch: list[FleetSession]
     ) -> tuple[
-        CHRISRuntime,
         list,
         dict[str, WearableSystem],
         dict[str, int],
         dict[str, int],
         np.ndarray | None,
     ]:
-        """Plan a batch on the stream runtime and snapshot its execution state.
+        """Plan a batch on the stream runtime and advance the stream totals.
 
-        Planning is side-effect free; the execution snapshot is taken
-        *before* the stream runtime is fast-forwarded by the batch's
-        per-model window counts, so the snapshot starts exactly where
-        sequential replay would and the next batch starts exactly after
-        it.  Returns ``(task_runtime, plans, systems, prior_totals,
-        post_totals, fleet_slots)`` — the cumulative per-model window
-        totals before and after this batch, which retries and the serial
-        restore path use to rebuild stream positions, plus the long-lived
-        state slot of each session for a streaming batch (``None``
-        otherwise; batches are kind-homogeneous by construction).
+        Planning is side-effect free.  Returns ``(plans, systems,
+        prior_totals, post_totals, fleet_slots)`` — the cumulative
+        per-model window totals before and after this batch, which
+        retries and the restore after a failed attempt use to rebuild
+        stream positions, plus the long-lived state slot of each session
+        for a streaming batch (``None`` otherwise; batches are
+        kind-homogeneous by construction).
         """
         subjects = [s.recording for s in batch]
         fleet_slots = (
@@ -811,46 +777,28 @@ class FleetScheduler:
         plans = self._runtime._plan_fleet(
             subjects, self.constraint, self.use_oracle_difficulty, traces, systems=systems
         )
-        self._profile_cost_tables(systems.values())
-        totals: dict[str, int] = {}
-        for counts in self._runtime.model_window_counts(plans):
-            for name, count in counts.items():
-                totals[name] = totals.get(name, 0) + count
         # As-if-planned accounting: the stream position moves past this
         # batch now, whether or not execution ultimately succeeds — a
         # quarantined batch must not invalidate its successors.
         prior = dict(self._stream_totals)
-        for name, count in totals.items():
-            self._stream_totals[name] = self._stream_totals.get(name, 0) + count
+        for counts in self._runtime.model_window_counts(plans):
+            for name, count in counts.items():
+                self._stream_totals[name] = self._stream_totals.get(name, 0) + count
         post = dict(self._stream_totals)
-        if self.max_workers == 1:
-            # A single worker executes batches strictly in dispatch order,
-            # so the stream runtime can execute them itself: execution
-            # advances the predictor streams exactly like sequential
-            # replay, with no snapshot and no double fast-forward.
-            return self._runtime, plans, systems, prior, post, fleet_slots
-        # Concurrent batches must not share mutable predictor state:
-        # snapshot only what execution mutates — the zoo.  The engine,
-        # system and classifier are read-only during execution (cost
-        # tables were just profiled eagerly), so sharing them keeps the
-        # per-batch snapshot cost proportional to the zoo, not the whole
-        # experiment.  The stream runtime is then fast-forwarded by the
-        # batch's per-model window counts so the next batch starts from
-        # the state sequential replay would have reached.
-        task_runtime = self._clone_runtime(copy.deepcopy(self._runtime.zoo))
-        try:
-            for entry in self._runtime.zoo:
-                entry.predictor.advance_fleet_state(totals.get(entry.name, 0))
-        except BaseException:
-            # A half-applied fast-forward leaves the stream position
-            # undefined; poison the scheduler rather than let later
-            # sessions silently diverge from sequential replay.
-            self._mark_corrupt()
-            raise
-        return task_runtime, plans, systems, prior, post, fleet_slots
+        return plans, systems, prior, post, fleet_slots
 
-    def _clone_runtime(self, zoo) -> CHRISRuntime:
-        """A runtime sharing everything read-only with the stream runtime."""
+    def _rebuild_runtime(self, totals: Mapping[str, int]) -> CHRISRuntime:
+        """A runtime positioned at cumulative stream position ``totals``.
+
+        Built from the construction-time pristine zoo: predictor state is
+        a pure function of cumulative windows consumed, so this is
+        bit-identical to the live stream runtime at the same position.
+        Everything but the zoo is read-only during execution and shared
+        with the stream runtime.
+        """
+        zoo = copy.deepcopy(self._pristine_zoo)
+        for entry in zoo:
+            entry.predictor.advance_fleet_state(int(totals.get(entry.name, 0)))
         return CHRISRuntime(
             zoo=zoo,
             engine=self._runtime.engine,
@@ -860,18 +808,6 @@ class FleetScheduler:
             equivalence=self._runtime.equivalence,
             dtype=self._runtime.dtype,
         )
-
-    def _rebuild_runtime(self, totals: Mapping[str, int]) -> CHRISRuntime:
-        """A runtime positioned at cumulative stream position ``totals``.
-
-        Built from the construction-time pristine zoo: predictor state is
-        a pure function of cumulative windows consumed, so this is
-        bit-identical to the live stream runtime at the same position.
-        """
-        zoo = copy.deepcopy(self._pristine_zoo)
-        for entry in zoo:
-            entry.predictor.advance_fleet_state(int(totals.get(entry.name, 0)))
-        return self._clone_runtime(zoo)
 
     def _mark_corrupt(self) -> None:
         """Record that stream positions can no longer be reconstructed."""
@@ -884,21 +820,8 @@ class FleetScheduler:
             return 0.0
         return min(_BACKOFF_CAP_S, self.retry_backoff_s * (2.0 ** attempt))
 
-    def _profile_cost_tables(self, systems) -> None:
-        """Profile every revision up front so worker threads only read.
-
-        Registries are plain dicts shared across worker threads; eager
-        profiling in the (single) dispatcher thread makes every later
-        lookup a read-only hit.
-        """
-        deployments = [entry.deployment for entry in self._runtime.zoo]
-        self._runtime.system.cost_registry.profile_system(self._runtime.system, deployments)
-        for system in systems:
-            system.cost_registry.profile_system(system, deployments)
-
     def _execute_batch(
         self,
-        runtime: CHRISRuntime,
         batch: list[FleetSession],
         plans: list,
         systems: dict[str, WearableSystem],
@@ -908,21 +831,19 @@ class FleetScheduler:
     ) -> None:
         """Execute one batch with retry/backoff and quarantine-on-exhaustion.
 
-        Attempt 0 runs on the prepared ``runtime`` (the serial stream
-        runtime itself, or the snapshot); every retry runs on a runtime
-        rebuilt at the batch's planned start position (``prior_totals``),
-        which is bit-identical to a first attempt.  A serial attempt that
-        fails mid-execution leaves the stream runtime partway through the
-        batch, so the stream zoo is restored to the as-if-planned
-        position (``post_totals``) before anything else happens —
-        subsequent batches were planned assuming this batch's windows
-        were consumed.  A streaming batch (``fleet_slots``) additionally
-        snapshots the long-lived continuation states up front and
-        restores them on failure, so a retried or quarantined batch never
-        leaves a stream's tracker half-advanced.
+        Attempt 0 runs on the stream runtime itself; every retry runs on a
+        runtime rebuilt at the batch's planned start position
+        (``prior_totals``), which is bit-identical to a first attempt.  A
+        first attempt that fails mid-execution leaves the stream runtime
+        partway through the batch, so the stream zoo is restored to the
+        as-if-planned position (``post_totals``) before anything else
+        happens — subsequent batches were planned assuming this batch's
+        windows were consumed.  A streaming batch (``fleet_slots``)
+        additionally snapshots the long-lived continuation states up
+        front and restores them on failure, so a retried or quarantined
+        batch never leaves a stream's tracker half-advanced.
         """
         subjects = [s.recording for s in batch]
-        serial = runtime is self._runtime
         state_snapshot = (
             {name: copy.deepcopy(state) for name, state in self._fleet_states.items()}
             if fleet_slots is not None
@@ -930,7 +851,7 @@ class FleetScheduler:
         )
         attempt = 0
         while True:
-            attempt_runtime = runtime
+            attempt_runtime = self._runtime
             if attempt > 0:
                 try:
                     attempt_runtime = self._rebuild_runtime(prior_totals)
@@ -957,11 +878,11 @@ class FleetScheduler:
                     # batch's windows never reach any tracker).
                     for name, snap in state_snapshot.items():
                         self._fleet_states[name] = copy.deepcopy(snap)
-                if serial and attempt == 0:
-                    # The failed attempt advanced the shared stream
-                    # runtime partway through the batch; put it back on
-                    # the as-if-planned position before retrying (or
-                    # letting the next batch run).
+                if attempt == 0:
+                    # The failed attempt advanced the stream runtime
+                    # partway through the batch; put it back on the
+                    # as-if-planned position before retrying (or letting
+                    # the next batch run).
                     try:
                         self._runtime.zoo = self._rebuild_runtime(post_totals).zoo
                     except BaseException as rebuild_exc:  # noqa: BLE001
@@ -1041,10 +962,10 @@ class FleetScheduler:
 
         Freeing the slot re-initializes it in every continuation state —
         the per-subject ``reset()`` boundary of sequential replay — so
-        the next stream assigned this slot starts fresh.  Safe unlocked
-        on the state contents: the stream has no unresolved sessions, so
-        no in-flight batch references this slot, and concurrent batches
-        touch disjoint slots of the state arrays.
+        the next stream assigned this slot starts fresh.  Safe against
+        the executing batch: the stream has no unresolved sessions, so no
+        in-flight batch references this slot, and a batch touches only
+        its own streams' slots of the state arrays.
         """
         if self._fleet_states is not None:
             for state in self._fleet_states.values():
@@ -1164,16 +1085,17 @@ class FleetScheduler:
                 self._resolved.wait()
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting sessions and (optionally) drain outstanding work."""
+        """Stop accepting sessions; with ``wait``, block until all work drained.
+
+        The dispatcher drains queued sessions either way; ``wait=False``
+        only returns without waiting for it.
+        """
         with self._lock:
             self._closed = True
             self._arrivals.notify_all()
         if wait:
             self.join()
             self._dispatcher.join()
-            self._pool.shutdown(wait=True)
-        else:
-            self._pool.shutdown(wait=False)
 
     def __enter__(self) -> "FleetScheduler":
         return self

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import os
 import tempfile
 import time
 
@@ -199,9 +198,8 @@ def benchmark_fleet(
     constraint: Constraint | None = None,
     seed: int = 0,
     repeats: int = 3,
-    max_workers: int | None = None,
 ) -> dict:
-    """Measure fleet-replay throughput: per-subject loop vs fleet kernel vs pool.
+    """Measure fleet-replay throughput: per-subject loop vs fleet kernel vs executor.
 
     Three paths replay the same ``n_subjects`` x ``n_windows_per_subject``
     fleet:
@@ -209,9 +207,9 @@ def benchmark_fleet(
     * **sequential** — :func:`per_subject_replay`, one ``run_many``
       call per subject;
     * **mega** — one ``run_many`` over the whole fleet: one fused call
-      per model for the entire population, in-process;
-    * **pool** — :class:`~repro.core.fleet.FleetExecutor` sharding across
-      ``max_workers`` worker processes (``os.cpu_count()`` by default).
+      per model for the entire population;
+    * **executor** — :class:`~repro.core.fleet.FleetExecutor`, which
+      replays the fleet in shards (one fused call per model per shard).
 
     Every timed run starts from a deep copy of the runtime so all paths
     consume identical predictor state; the best of ``repeats`` wall
@@ -226,7 +224,6 @@ def benchmark_fleet(
         n_subjects=n_subjects, n_windows_per_subject=n_windows_per_subject, seed=seed
     )
     n_windows_total = sum(s.n_windows for s in subjects)
-    workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
     configuration = experiment.engine.select_or_closest(constraint, connected=True)
 
     def timed(run):
@@ -247,8 +244,8 @@ def benchmark_fleet(
     mega, mega_s = timed(
         lambda rt: rt.run_many(subjects, constraint, use_oracle_difficulty=True)
     )
-    pool, pool_s = timed(
-        lambda rt: FleetExecutor(rt, max_workers=workers).run_fleet(
+    executor, executor_s = timed(
+        lambda rt: FleetExecutor(rt).run_fleet(
             subjects, constraint, use_oracle_difficulty=True
         )
     )
@@ -263,21 +260,20 @@ def benchmark_fleet(
         "n_windows_per_subject": int(n_windows_per_subject),
         "n_windows_total": int(n_windows_total),
         "configuration": configuration.label(),
-        "workers": int(workers),
         "sequential_seconds": sequential_s,
         "mega_seconds": mega_s,
-        "pool_seconds": pool_s,
+        "executor_seconds": executor_s,
         "sequential_subjects_per_s": n_subjects / sequential_s,
         "mega_subjects_per_s": n_subjects / mega_s,
-        "pool_subjects_per_s": n_subjects / pool_s,
+        "executor_subjects_per_s": n_subjects / executor_s,
         "sequential_windows_per_s": n_windows_total / sequential_s,
         "mega_windows_per_s": n_windows_total / mega_s,
-        "pool_windows_per_s": n_windows_total / pool_s,
+        "executor_windows_per_s": n_windows_total / executor_s,
         "mega_speedup": sequential_s / mega_s,
-        "pool_speedup": sequential_s / pool_s,
+        "executor_speedup": sequential_s / executor_s,
         "mae_bpm": mega.mae_bpm,
         "offload_fraction": mega.offload_fraction,
-        "decisions_identical": bool(identical(mega) and identical(pool)),
+        "decisions_identical": bool(identical(mega) and identical(executor)),
     }
 
 
@@ -768,7 +764,6 @@ def benchmark_scheduler(
     constraint: Constraint | None = None,
     seed: int = 0,
     repeats: int = 3,
-    max_workers: int = 1,
 ) -> dict:
     """Measure online-scheduler throughput against sequential fleet replay.
 
@@ -780,8 +775,8 @@ def benchmark_scheduler(
     * **scheduler** — every subject submitted as a dynamic session to a
       :class:`~repro.core.scheduler.FleetScheduler`; the timing covers
       submission, batch dispatch and completion of the whole population
-      (arrivals coalesce into mega-batches while the pool is busy, which
-      is where the speedup comes from — not process parallelism).
+      (arrivals coalesce into mega-batches while the dispatcher is busy
+      executing, which is where the speedup comes from).
 
     Both paths start from deep-copied predictor state, and a
     ``decisions_identical`` flag confirms the scheduler reproduced the
@@ -820,10 +815,7 @@ def benchmark_scheduler(
     for _ in range(repeats):
         # FleetScheduler deep-copies the runtime itself; no outer copy.
         scheduler = FleetScheduler(
-            experiment.runtime(),
-            constraint,
-            max_workers=max_workers,
-            use_oracle_difficulty=True,
+            experiment.runtime(), constraint, use_oracle_difficulty=True
         )
         try:
             start = time.perf_counter()
@@ -843,7 +835,6 @@ def benchmark_scheduler(
         "n_windows_per_subject": int(n_windows_per_subject),
         "n_windows_total": int(n_windows_total),
         "configuration": configuration.label(),
-        "workers": int(max_workers),
         "sequential_seconds": sequential_s,
         "scheduler_seconds": scheduler_s,
         "sequential_sessions_per_s": n_subjects / sequential_s,
@@ -864,13 +855,12 @@ def benchmark_checkpoint(
     constraint: Constraint | None = None,
     seed: int = 0,
     repeats: int = 3,
-    max_workers: int | None = None,
 ) -> dict:
     """Measure the durability tax of checkpointed fleet execution.
 
-    Three pool runs over the same fleet, all through the scalar
-    (per-window streaming) replay so both sides take the identical
-    execution path and only durability differs:
+    Three executor runs over the same fleet and shard layout, all
+    through the scalar (per-window streaming) replay so both sides take
+    the identical execution path and only durability differs:
 
     * **unstaged** — :class:`~repro.core.fleet.FleetExecutor` without a
       ``checkpoint_dir``;
@@ -900,16 +890,10 @@ def benchmark_checkpoint(
         n_subjects=n_subjects, n_windows_per_subject=n_windows_per_subject, seed=seed
     )
     n_windows_total = sum(s.n_windows for s in subjects)
-    # Both sides must take the pooled shard path even on one-core boxes,
-    # otherwise the unstaged run falls into the in-process fast path and
-    # the comparison measures sharding, not durability.
-    workers = max_workers if max_workers is not None else max(2, os.cpu_count() or 1)
 
     def run(checkpoint_dir, batched):
         runtime = copy.deepcopy(experiment.runtime())
-        executor = FleetExecutor(
-            runtime, max_workers=workers, checkpoint_dir=checkpoint_dir
-        )
+        executor = FleetExecutor(runtime, checkpoint_dir=checkpoint_dir)
         start = time.perf_counter()
         fleet = executor.run_fleet(
             subjects, constraint, use_oracle_difficulty=True, batched=batched
@@ -945,7 +929,6 @@ def benchmark_checkpoint(
         "n_subjects": int(n_subjects),
         "n_windows_per_subject": int(n_windows_per_subject),
         "n_windows_total": int(n_windows_total),
-        "workers": int(workers),
         "unstaged_seconds": unstaged_s,
         "checkpointed_seconds": checkpointed_s,
         "resume_seconds": resume_s,
@@ -1038,7 +1021,6 @@ def benchmark_latency(
         return FleetScheduler(
             experiment.runtime(),
             constraint,
-            max_workers=1,
             max_batch_size=max_batch_size,
             use_oracle_difficulty=True,
             policy=policy,
@@ -1122,7 +1104,6 @@ def benchmark_latency(
         sat = FleetScheduler(
             experiment.runtime(),
             constraint,
-            max_workers=1,
             max_batch_size=n_streams,
             use_oracle_difficulty=True,
             policy=policy,

@@ -135,7 +135,7 @@ def run_cross_validation(
         pseudo-model ``"CHRIS"`` — so the adaptive system can be compared
         against its constituent models fold by fold.  A
         :class:`~repro.core.fleet.FleetExecutor` may be passed instead of
-        a runtime to replay through the process-pool fleet engine; note
+        a runtime to replay through the sharded fleet engine; note
         the executor never mutates its runtime, so every fold then
         replays from the same pristine predictor state, whereas a
         :class:`CHRISRuntime`'s calibrated random streams advance from

@@ -233,27 +233,24 @@ class CalibratedExperiment:
 
     def fleet_executor(
         self,
-        max_workers: int | None = None,
         activity_classifier: ActivityClassifier | None = None,
         shards_per_worker: int = 4,
         equivalence: str | None = None,
         dtype: str = "float64",
     ) -> FleetExecutor:
-        """A process-pool fleet executor over this experiment's runtime."""
+        """A sharded, in-process fleet executor over this experiment's runtime."""
         return FleetExecutor(
             self.runtime(
                 activity_classifier=activity_classifier,
                 equivalence=equivalence,
                 dtype=dtype,
             ),
-            max_workers=max_workers,
             shards_per_worker=shards_per_worker,
         )
 
     def fleet_scheduler(
         self,
         constraint: Constraint,
-        max_workers: int = 1,
         max_batch_size: int | None = None,
         use_oracle_difficulty: bool = True,
         activity_classifier: ActivityClassifier | None = None,
@@ -273,7 +270,6 @@ class CalibratedExperiment:
                 dtype=dtype,
             ),
             constraint,
-            max_workers=max_workers,
             max_batch_size=max_batch_size,
             use_oracle_difficulty=use_oracle_difficulty,
         )
@@ -285,18 +281,15 @@ class CalibratedExperiment:
         use_oracle_difficulty: bool = True,
         activity_classifier: ActivityClassifier | None = None,
         batched: bool = True,
-        max_workers: int | None = None,
         scheduler: FleetScheduler | None = None,
     ) -> FleetResult:
         """Replay every subject of a corpus through the fleet engine.
 
         The multi-subject entry point used by the benchmarks and examples.
-        By default the corpus is replayed in-process through the
-        runtime's fleet kernel (``batched=False``: its per-window oracle);
-        passing ``max_workers > 1`` shards the subjects across a
-        :class:`~repro.core.fleet.FleetExecutor` process pool.
-        ``max_workers`` is purely a throughput knob: every path produces
-        decision-for-decision identical results, and no path mutates the
+        By default the corpus is replayed shard by shard through a
+        :class:`~repro.core.fleet.FleetExecutor` and the runtime's fleet
+        kernel (``batched=False``: its per-window oracle).  Both produce
+        decision-for-decision identical results, and neither mutates the
         experiment's predictors (the executor replays pristine copies), so
         repeated calls replay identically.  Use
         :meth:`runtime` + ``run_many`` directly for the advancing-stream
@@ -312,9 +305,8 @@ class CalibratedExperiment:
         own* configuration governs execution; arguments that would change
         *decisions* (``constraint``, ``use_oracle_difficulty``,
         ``activity_classifier``) are validated against it and a conflict
-        raises, while the pure throughput knobs (``batched``,
-        ``max_workers``) are ignored — every execution
-        path makes identical decisions regardless.  Note that a
+        raises, while the pure throughput knob ``batched`` is ignored —
+        every execution path makes identical decisions regardless.  Note that a
         scheduler's predictor streams advance across calls (online
         semantics), unlike the executor paths.
         """
@@ -353,10 +345,7 @@ class CalibratedExperiment:
                     )
                 fleet.add(session.subject_id, session.result)
             return fleet
-        executor = self.fleet_executor(
-            max_workers=max_workers if max_workers is not None else 1,
-            activity_classifier=activity_classifier,
-        )
+        executor = self.fleet_executor(activity_classifier=activity_classifier)
         return executor.run_fleet(
             dataset.subjects,
             constraint,

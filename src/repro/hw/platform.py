@@ -72,10 +72,9 @@ class PredictionCost:
 class CostTableError(RuntimeError):
     """A cost-table payload is corrupt, or a strict lookup found no table.
 
-    Raised instead of silently re-profiling so fleet deployments that
-    ship serialized tables to workers fail loudly when a table is
-    corrupt, belongs to the wrong hardware revision, or only partially
-    covers the zoo.
+    Raised instead of silently re-profiling so a loaded table fails
+    loudly when it is corrupt, belongs to the wrong hardware revision,
+    or only partially covers the zoo.
     """
 
 
@@ -90,31 +89,21 @@ class CostTableRegistry:
     sharing the table across all :class:`WearableSystem` instances removes
     the per-system re-profiling the first runtime versions did.
 
-    The registry is serializable (:meth:`to_json` / :meth:`from_json`) so
-    fleet workers in other processes can load the parent's profiled tables
-    instead of recomputing them.
+    The registry is serializable (:meth:`to_json` / :meth:`from_json`):
+    a checkpointed fleet journal records the tables it ran with.
 
     A module-level instance (:data:`SHARED_COST_REGISTRY`) backs every
     :class:`WearableSystem` that is not given a private registry — which
-    makes the registry genuinely shared mutable state: the fleet
-    scheduler's dispatcher thread profiles tables while worker threads
-    read them (and, on a cold registry, several threads may fill
-    concurrently).  Every table fill, read and serialization therefore
-    takes an internal re-entrant lock; the lock is excluded from
-    pickling/deep-copying (each copy gets a fresh one), so registries
-    still travel to pool workers and through ``copy.deepcopy`` exactly
-    as before.
+    makes the registry genuinely shared mutable state: a scheduler's
+    dispatcher thread fills tables while the caller's threads may run
+    other fleets on the same registry.  Every table fill, read and
+    serialization therefore takes an internal re-entrant lock; the lock
+    is excluded from pickling/deep-copying (each copy gets a fresh one),
+    so registries still pickle and ``copy.deepcopy`` exactly as before.
     """
 
     def __init__(self) -> None:
         self._tables: dict[tuple, dict[tuple[ModelDeployment, ExecutionTarget], PredictionCost]] = {}  # guarded-by: _lock
-        #: In strict mode a lookup miss raises :class:`CostTableError`
-        #: instead of profiling.  Fleet workers that load a table the
-        #: parent shipped turn this on: a miss there means the parent
-        #: shipped the wrong or a partial table, which silent
-        #: re-profiling would mask.  Set once before the registry is
-        #: shared (worker init / deserialization), never mid-run.
-        self.strict = False  # guarded-by: _lock
         #: Guards ``_tables`` against concurrent fills/reads; re-entrant
         #: because :meth:`profile_system` holds it across its
         #: :meth:`lookup` calls so a profiling pass is atomic.
@@ -154,7 +143,7 @@ class CostTableRegistry:
             return list(self._tables)
 
     # ---------------------------------------------------------------- lookup
-    def lookup(  # unguarded-ok: strict
+    def lookup(
         self,
         system: "WearableSystem",
         deployment: ModelDeployment,
@@ -162,22 +151,13 @@ class CostTableRegistry:
     ) -> PredictionCost:
         """Memoized cost of one prediction on ``system``'s hardware revision.
 
-        The lock-free :attr:`strict` read at the top is deliberate
-        (``unguarded-ok`` above): the flag is configuration, flipped only
-        in worker initialization before the registry is shared — taking
-        the re-entrant lock for it on every hot-path lookup would buy
-        nothing.
-
         Profiles the pair on first sight and returns the shared
         :class:`PredictionCost` object afterwards — including to *other*
-        system instances of the same revision.  In :attr:`strict` mode a
-        miss raises instead of profiling (see :meth:`cost_for`).  Like
-        the cache it replaces, the lookup never consults the current BLE
+        system instances of the same revision.  Like the cache it
+        replaces, the lookup never consults the current BLE
         connection state; callers only request phone costs for windows
         planned while the link was up.
         """
-        if self.strict:
-            return self.cost_for(system, deployment, target)
         key = (deployment, target)
         with self._lock:
             table = self._tables.setdefault(system.hardware_revision(), {})
@@ -197,7 +177,7 @@ class CostTableRegistry:
 
         Returns the system's revision key; after this call every lookup a
         fleet run can make for these deployments is a pure dictionary hit,
-        so the table can be serialized and shipped to workers.  The whole
+        so a serialized table covers the whole fleet.  The whole
         pass holds the registry lock (re-entrantly across the lookups),
         so a concurrent serialization never observes a half-profiled
         system.
@@ -216,12 +196,9 @@ class CostTableRegistry:
     ) -> PredictionCost:
         """Strict lookup: the memoized cost, or :class:`CostTableError`.
 
-        Unlike a default-mode :meth:`lookup` this never profiles on a
-        miss — fleet workers run their loaded registry with
-        :attr:`strict` enabled (see
-        :func:`repro.core.fleet._init_fleet_worker`), which routes every
-        lookup here so "the parent shipped the wrong/partial table"
-        fails loudly instead of being papered over by recomputation.
+        Unlike :meth:`lookup` this never profiles on a miss, so a caller
+        holding a loaded table learns that it is the wrong or a partial
+        one instead of having it papered over by recomputation.
         """
         revision = system.hardware_revision()
         with self._lock:
@@ -255,8 +232,8 @@ class CostTableRegistry:
         """JSON dump of every profiled table.
 
         Floats survive the round trip exactly (JSON numbers are emitted
-        with ``repr`` precision), so a table loaded in a worker process
-        produces bit-identical costs to the parent's.
+        with ``repr`` precision), so a loaded table produces bit-identical
+        costs to the original.
         """
         with self._lock:
             snapshot = {
@@ -288,9 +265,8 @@ class CostTableRegistry:
             If the payload is not valid JSON or does not have the
             :meth:`to_json` structure (missing keys, malformed
             deployments, unknown execution targets).  Corrupt tables must
-            fail loudly: a worker that silently fell back to an empty
-            registry would re-profile costs the parent thought it had
-            shipped.
+            fail loudly: silently falling back to an empty registry would
+            re-profile costs the caller thought it had loaded.
         """
         try:
             payload = json.loads(text)

@@ -186,7 +186,7 @@ def test_real_scheduler_and_registry_declarations_present():
         if isinstance(n, ast.ClassDef) and n.name == "CostTableRegistry"
     )
     guarded = collect_guarded_declarations(platform, registry)
-    assert set(guarded) == {"_tables", "strict"}
+    assert set(guarded) == {"_tables"}
 
 
 def test_real_hot_path_marks_present():

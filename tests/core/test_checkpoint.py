@@ -3,7 +3,7 @@
 Every recovery path of the crash-safe fleet gets a *forced-failure* test
 here: the fault actually happens (via :mod:`repro.core.faults`) and the
 test asserts the recovery — retried shards, quarantined subjects,
-rebuilt pools, discarded stale journals, re-executed corrupt shards —
+discarded stale journals, re-executed corrupt shards —
 always against the bit-identity contract with an uninterrupted run.
 """
 
@@ -38,8 +38,7 @@ def reference_fleet(calibrated_experiment, small_dataset):
 
 def checkpointed_executor(experiment, directory, **kwargs):
     """A 4-shard (one subject per shard) checkpointed executor."""
-    kwargs.setdefault("max_workers", 2)
-    kwargs.setdefault("shards_per_worker", 2)
+    kwargs.setdefault("shards_per_worker", 4)
     return FleetExecutor(
         make_runtime(experiment),
         checkpoint_dir=directory,
@@ -447,7 +446,7 @@ class TestCheckpointedExecution:
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path
     ):
         directory = tmp_path / "ckpt"
-        executor = checkpointed_executor(calibrated_experiment, directory, max_workers=1)
+        executor = checkpointed_executor(calibrated_experiment, directory)
         plan = faults.FaultPlan(tmp_path / "plan")
         plan.arm("stager.write", times=1)
         with faults.injected_faults(plan):
@@ -496,8 +495,7 @@ class TestRetryAndQuarantine:
     ):
         executor = FleetExecutor(
             make_runtime(calibrated_experiment),
-            max_workers=2,
-            shards_per_worker=2,
+            shards_per_worker=4,
             retry_backoff_s=0.0,
         )
         plan = faults.FaultPlan(tmp_path / "plan")
@@ -513,10 +511,11 @@ class TestRetryAndQuarantine:
     def test_exhausted_retries_quarantine_only_that_shard(
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path
     ):
+        """Without a checkpoint the run keeps its 4-shard layout, so the
+        failure costs one shard's subjects, not the whole fleet."""
         executor = FleetExecutor(
             make_runtime(calibrated_experiment),
-            max_workers=2,
-            shards_per_worker=2,
+            shards_per_worker=4,
             max_retries=1,
             retry_backoff_s=0.0,
         )
@@ -536,54 +535,6 @@ class TestRetryAndQuarantine:
                 assert_results_identical(
                     reference_fleet.results[sid], fleet.results[sid]
                 )
-
-    def test_worker_death_rebuilds_pool_and_retries(
-        self, calibrated_experiment, small_dataset, reference_fleet, tmp_path
-    ):
-        executor = FleetExecutor(
-            make_runtime(calibrated_experiment),
-            max_workers=2,
-            shards_per_worker=2,
-            retry_backoff_s=0.0,
-        )
-        plan = faults.FaultPlan(tmp_path / "plan")
-        plan.arm("fleet.shard", shard=0, times=1, kind="exit")
-        with faults.injected_faults(plan):
-            fleet = executor.run_fleet(
-                small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
-            )
-        assert plan.armed() == 0
-        assert fleet.n_failed == 0
-        assert_fleets_identical(reference_fleet, fleet)
-
-    def test_repeated_worker_death_quarantines_with_cause(
-        self, calibrated_experiment, small_dataset, reference_fleet, tmp_path
-    ):
-        """With retries exhausted, a worker death quarantines — not raises.
-
-        A dying worker breaks every in-flight future indistinguishably
-        (the pool cannot say which task killed it), so with
-        ``max_retries=0`` the collateral shards may be quarantined too;
-        the contract is degrade-don't-die plus an attributable cause.
-        """
-        executor = FleetExecutor(
-            make_runtime(calibrated_experiment),
-            max_workers=2,
-            shards_per_worker=2,
-            max_retries=0,
-            retry_backoff_s=0.0,
-        )
-        plan = faults.FaultPlan(tmp_path / "plan")
-        plan.arm("fleet.shard", shard=0, times=1, kind="exit")
-        with faults.injected_faults(plan):
-            fleet = executor.run_fleet(
-                small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
-            )
-        doomed = small_dataset.subjects[0].subject_id
-        assert doomed in fleet.failed_subject_ids
-        assert all("BrokenProcessPool" in err for err in fleet.failed.values())
-        for sid, result in fleet.results.items():
-            assert_results_identical(reference_fleet.results[sid], result)
 
     def test_quarantine_with_checkpoint_retries_on_next_run(
         self, calibrated_experiment, small_dataset, reference_fleet, tmp_path

@@ -1,7 +1,7 @@
-"""Fleet execution engine tests: the fleet kernel, pool sharding, streaming.
+"""Fleet execution engine tests: the fleet kernel, sharding, streaming.
 
-Every fast fleet path — the fleet-wide kernel in one process and
-process-pool sharding via :class:`FleetExecutor` — must produce a
+Every fast fleet path — the fleet-wide kernel and sharded replay via
+:class:`FleetExecutor` — must produce a
 :class:`FleetResult` bit-identical to the scalar per-window oracle
 (``batched=False``): same per-window decisions, predictions, costs, MAE
 and energy, including fleets with per-subject BLE connection traces.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.decision_engine import Constraint
-from repro.core.fleet import FleetExecutor, SharedSubjectStore
+from repro.core.fleet import FleetExecutor
 from repro.core.runtime import CHRISRuntime, FleetResult
 from repro.hw.platform import CostTableRegistry, WearableSystem
 
@@ -158,16 +158,14 @@ class TestFleetExecutor:
     def test_pool_identical_to_sequential(
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
-        """Sharded multi-process replay is bit-identical, workers > 1."""
+        """Sharded replay is bit-identical, shard boundaries and all."""
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment),
-            max_workers=2,
-            shards_per_worker=2,
+            make_runtime(calibrated_experiment), shards_per_worker=4
         )
-        parallel = executor.run_fleet(
+        sharded_fleet = executor.run_fleet(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
         )
-        assert_fleets_identical(sequential_fleet, parallel)
+        assert_fleets_identical(sequential_fleet, sharded_fleet)
 
     def test_pool_identical_with_connection_traces(
         self, calibrated_experiment, small_dataset
@@ -182,41 +180,37 @@ class TestFleetExecutor:
             use_oracle_difficulty=True,
             connected_traces=traces,
         )
-        executor = FleetExecutor(
-            make_runtime(calibrated_experiment), max_workers=2
-        )
-        parallel = executor.run_fleet(
+        executor = FleetExecutor(make_runtime(calibrated_experiment))
+        sharded_fleet = executor.run_fleet(
             small_dataset.subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
             connected_traces=traces,
         )
-        assert_fleets_identical(sequential, parallel)
+        assert_fleets_identical(sequential, sharded_fleet)
 
     def test_pool_identical_with_rf_difficulty(
         self, calibrated_experiment, small_dataset, trained_activity_classifier
     ):
-        """Shipped plans carry the classifier's difficulty stream; workers
-        must not re-infer (they would get the same answer, but the test
-        pins that the parent-planned path stays decision-identical)."""
+        """The fleet-wide plans carry the classifier's difficulty stream;
+        shards must not re-infer (they would get the same answer, but the
+        test pins that the planned-once path stays decision-identical)."""
         reference_runtime = make_runtime(calibrated_experiment, batched=False)
         reference_runtime.activity_classifier = trained_activity_classifier
         sequential = reference_runtime.run_many(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=False
         )
-        pooled_runtime = make_runtime(calibrated_experiment)
-        pooled_runtime.activity_classifier = trained_activity_classifier
-        parallel = FleetExecutor(pooled_runtime, max_workers=2).run_fleet(
+        sharded_runtime = make_runtime(calibrated_experiment)
+        sharded_runtime.activity_classifier = trained_activity_classifier
+        sharded_fleet = FleetExecutor(sharded_runtime).run_fleet(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=False
         )
-        assert_fleets_identical(sequential, parallel)
+        assert_fleets_identical(sequential, sharded_fleet)
 
     def test_pool_rejects_trace_for_unknown_subject(
         self, calibrated_experiment, small_dataset
     ):
-        executor = FleetExecutor(
-            make_runtime(calibrated_experiment), max_workers=2
-        )
+        executor = FleetExecutor(make_runtime(calibrated_experiment))
         with pytest.raises(KeyError):
             list(
                 executor.iter_runs(
@@ -231,24 +225,20 @@ class TestFleetExecutor:
         self, calibrated_experiment, small_dataset
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment),
-            max_workers=2,
-            shards_per_worker=2,
+            make_runtime(calibrated_experiment), shards_per_worker=4
         )
         stream = executor.iter_runs(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
         )
         first = next(stream)
         assert first[1].n_windows > 0
-        stream.close()  # must cancel pending shards, not block on them
+        stream.close()  # must leave the remaining shards unexecuted, not hang
 
     def test_iter_runs_streams_every_subject(
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment),
-            max_workers=2,
-            shards_per_worker=2,
+            make_runtime(calibrated_experiment), shards_per_worker=4
         )
         streamed = dict(
             executor.iter_runs(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True)
@@ -260,29 +250,29 @@ class TestFleetExecutor:
     def test_repeated_calls_replay_identically(
         self, calibrated_experiment, small_dataset
     ):
-        """Executor calls never advance the parent runtime's predictor
-        streams, so back-to-back runs are bit-identical whatever the
-        worker count."""
-        pooled = FleetExecutor(
-            make_runtime(calibrated_experiment), max_workers=2
-        )
-        first = pooled.run_fleet(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True)
-        second = pooled.run_fleet(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True)
+        """Executor calls never advance their runtime's predictor streams,
+        so back-to-back runs are bit-identical whatever the shard
+        layout."""
+        sharded = FleetExecutor(make_runtime(calibrated_experiment))
+        first = sharded.run_fleet(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True)
+        second = sharded.run_fleet(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True)
         assert_fleets_identical(first, second)
-        in_process = FleetExecutor(
-            make_runtime(calibrated_experiment), max_workers=1
+        one_shard = FleetExecutor(
+            make_runtime(calibrated_experiment), shards_per_worker=1
         )
         assert_fleets_identical(
             first,
-            in_process.run_fleet(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True),
+            one_shard.run_fleet(small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True),
         )
 
     def test_single_worker_runs_in_process(
         self, calibrated_experiment, small_dataset, sequential_fleet
     ):
+        """``max_workers=1`` is still accepted: execution is in process."""
         executor = FleetExecutor(
             make_runtime(calibrated_experiment), max_workers=1
         )
+        assert executor.max_workers == 1
         fleet = executor.run_fleet(
             small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
         )
@@ -290,11 +280,11 @@ class TestFleetExecutor:
 
     def test_shard_bounds_partition_subjects(self, calibrated_experiment):
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment),
-            max_workers=3,
-            shards_per_worker=2,
+            make_runtime(calibrated_experiment), shards_per_worker=6
         )
         bounds = executor.shard_bounds(10)
+        assert len(bounds) == 6
+        assert executor.shard_bounds(4) == [(0, 1), (1, 2), (2, 3), (3, 4)]
         assert bounds[0][0] == 0
         assert bounds[-1][1] == 10
         for (_, stop), (start, _) in zip(bounds[:-1], bounds[1:]):
@@ -302,9 +292,7 @@ class TestFleetExecutor:
         assert executor.shard_bounds(0) == []
 
     def test_duplicate_subjects_rejected(self, calibrated_experiment, small_dataset):
-        executor = FleetExecutor(
-            make_runtime(calibrated_experiment), max_workers=2
-        )
+        executor = FleetExecutor(make_runtime(calibrated_experiment))
         subject = small_dataset.subjects[0]
         with pytest.raises(ValueError):
             list(executor.iter_runs([subject, subject], CONSTRAINT))
@@ -313,13 +301,13 @@ class TestFleetExecutor:
         runtime = make_runtime(calibrated_experiment)
         with pytest.raises(ValueError):
             FleetExecutor(runtime, max_workers=0)
+        with pytest.raises(ValueError, match="in process"):
+            FleetExecutor(runtime, max_workers=2)
         with pytest.raises(ValueError):
             FleetExecutor(runtime, shards_per_worker=0)
 
     def test_empty_fleet(self, calibrated_experiment):
-        executor = FleetExecutor(
-            make_runtime(calibrated_experiment), max_workers=2
-        )
+        executor = FleetExecutor(make_runtime(calibrated_experiment))
         assert list(executor.iter_runs([], CONSTRAINT)) == []
         assert executor.run_fleet([], CONSTRAINT).n_subjects == 0
 
@@ -350,21 +338,19 @@ class TestHeterogeneousFleets:
             systems=systems,
         )
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment),
-            max_workers=2,
-            shards_per_worker=2,
+            make_runtime(calibrated_experiment), shards_per_worker=4
         )
-        pooled = executor.run_fleet(
+        sharded = executor.run_fleet(
             small_dataset.subjects,
             CONSTRAINT,
             use_oracle_difficulty=True,
             systems=systems,
         )
-        assert_fleets_identical(sequential, pooled)
+        assert_fleets_identical(sequential, sharded)
         assert registry.n_revisions == 2
         # The revisions genuinely differ on offloaded windows.
-        stock_result = pooled.results[small_dataset.subjects[0].subject_id]
-        rev_b_result = pooled.results[small_dataset.subjects[1].subject_id]
+        stock_result = sharded.results[small_dataset.subjects[0].subject_id]
+        rev_b_result = sharded.results[small_dataset.subjects[1].subject_id]
         stock_radio = stock_result.watch_radio_j[stock_result.offloaded]
         rev_b_radio = rev_b_result.watch_radio_j[rev_b_result.offloaded]
         assert stock_radio.size and rev_b_radio.size
@@ -373,9 +359,7 @@ class TestHeterogeneousFleets:
     def test_systems_for_unknown_subject_rejected(
         self, calibrated_experiment, small_dataset
     ):
-        executor = FleetExecutor(
-            make_runtime(calibrated_experiment), max_workers=2
-        )
+        executor = FleetExecutor(make_runtime(calibrated_experiment))
         with pytest.raises(KeyError, match="systems for unknown subjects"):
             list(
                 executor.iter_runs(
@@ -395,74 +379,20 @@ class TestHeterogeneousFleets:
             )
 
 
-class TestSharedSubjectStore:
-    def test_preserves_dtypes_bit_exactly(self, small_dataset):
-        """A float32 fleet must stay float32 in the workers — a silent
-        float64 upcast would break bit-equivalence with sequential replay
-        for signal-reading predictors."""
-        subject = copy.copy(small_dataset.subjects[0])
-        subject.ppg_windows = subject.ppg_windows.astype(np.float32)
-        subject.accel_windows = subject.accel_windows.astype(np.float32)
-        store = SharedSubjectStore([subject])
-        try:
-            handles, [view] = SharedSubjectStore.attach(store.manifest)
-            try:
-                assert view.ppg_windows.dtype == np.float32
-                assert view.accel_windows.dtype == np.float32
-                np.testing.assert_array_equal(view.ppg_windows, subject.ppg_windows)
-            finally:
-                del view
-                for handle in handles:
-                    handle.close()
-        finally:
-            store.close()
-            store.unlink()
-
-    def test_mixed_dtypes_fall_back_to_pickling(self, small_dataset):
-        subjects = [copy.copy(s) for s in small_dataset.subjects[:2]]
-        subjects[1].ppg_windows = subjects[1].ppg_windows.astype(np.float32)
-        assert not SharedSubjectStore.supports(subjects)
-
-    def test_rejects_empty_and_mixed_geometry(self, small_dataset):
-        with pytest.raises(ValueError):
-            SharedSubjectStore([])
-        subjects = list(small_dataset.subjects[:2])
-        short = copy.copy(subjects[1])
-        short.ppg_windows = subjects[1].ppg_windows[:, : subjects[1].ppg_windows.shape[1] // 2]
-        assert not SharedSubjectStore.supports([subjects[0], short])
-        with pytest.raises(ValueError, match="window geometry"):
-            SharedSubjectStore([subjects[0], short])
-
-    @pytest.mark.slow
-    def test_spawn_pool_attaches_shared_memory(
-        self, calibrated_experiment, small_dataset, sequential_fleet
-    ):
-        """A spawn pool (shared memory on by default) replays identically."""
-        executor = FleetExecutor(
-            make_runtime(calibrated_experiment),
-            max_workers=2,
-            shards_per_worker=1,
-            start_method="spawn",
-        )
-        parallel = executor.run_fleet(
-            small_dataset.subjects, CONSTRAINT, use_oracle_difficulty=True
-        )
-        assert_fleets_identical(sequential_fleet, parallel)
-
-
 class TestExperimentWiring:
     def test_run_fleet_with_workers(self, calibrated_experiment, small_dataset):
-        """Each path runs on a private experiment copy: the calibrated
-        models' random streams advance across runs, so sharing one zoo
-        between the two calls would change the second's predictions."""
+        """The executor path matches the scalar oracle.  Each path runs on
+        a private experiment copy: the calibrated models' random streams
+        advance across runs, so sharing one zoo between the two calls
+        would change the second's predictions."""
         sequential = copy.deepcopy(calibrated_experiment).run_fleet(
             small_dataset, CONSTRAINT, batched=False
         )
-        pooled = copy.deepcopy(calibrated_experiment).run_fleet(
-            small_dataset, CONSTRAINT, max_workers=2
+        sharded = copy.deepcopy(calibrated_experiment).run_fleet(
+            small_dataset, CONSTRAINT
         )
-        assert pooled.subject_ids == sequential.subject_ids
-        assert pooled.mae_bpm == sequential.mae_bpm
+        assert sharded.subject_ids == sequential.subject_ids
+        assert sharded.mae_bpm == sequential.mae_bpm
 
     def test_crossval_accepts_fleet_executor(self, calibrated_experiment, small_dataset):
         from repro.data.dataset import WindowedDataset
@@ -476,9 +406,7 @@ class TestExperimentWiring:
             classical_models={"AT": AdaptiveThresholdPredictor()},
             fold_size=2,
             max_folds=2,
-            chris_runtime=FleetExecutor(
-                make_runtime(calibrated_experiment), max_workers=1
-            ),
+            chris_runtime=FleetExecutor(make_runtime(calibrated_experiment)),
             chris_constraint=CONSTRAINT,
         )
         assert "CHRIS" in via_executor.model_names
@@ -549,12 +477,10 @@ class TestZeroWindowSubjects:
             fleet, CONSTRAINT, use_oracle_difficulty=True
         )
         executor = FleetExecutor(
-            make_runtime(calibrated_experiment),
-            max_workers=2,
-            shards_per_worker=2,
+            make_runtime(calibrated_experiment), shards_per_worker=4
         )
-        pooled = executor.run_fleet(fleet, CONSTRAINT, use_oracle_difficulty=True)
-        assert_fleets_identical(sequential, pooled)
+        sharded = executor.run_fleet(fleet, CONSTRAINT, use_oracle_difficulty=True)
+        assert_fleets_identical(sequential, sharded)
 
     def test_empty_subject_with_empty_trace_is_accepted(
         self, calibrated_experiment, small_dataset

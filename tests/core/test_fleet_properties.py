@@ -11,9 +11,9 @@ including a fully stateful zoo with a signal-reading spectral tracker —
 the ``equivalence`` policy axis (bitwise vs tolerance) with a
 real signal-reading TimePPG network in the zoo, the inference precision
 axis (float64 vs float32 — float32 always under the tolerance policy
-with the wider ``EQUIVALENCE_TOLERANCES`` bounds), worker counts 1/2/4,
-arrival orderings, batch-size limits, mid-queue retirements) and every
-example asserts bit-identical results — except the predictions of
+with the wider ``EQUIVALENCE_TOLERANCES`` bounds), executor shard
+layouts (``shards_per_worker`` 1/2/4), arrival orderings, batch-size
+limits, mid-queue retirements) and every example asserts bit-identical results — except the predictions of
 tolerance-fused models under ``equivalence="tolerance"``, which must
 stay within the runtime's documented ``EQUIVALENCE_ATOL`` /
 ``EQUIVALENCE_RTOL`` while every other field stays exact:
@@ -24,10 +24,9 @@ stay within the runtime's documented ``EQUIVALENCE_ATOL`` /
   predictor streams must land on exactly the state sequential replay
   reaches (checked through
   :meth:`~repro.models.base.HeartRatePredictor.fleet_state_signature`);
-* :class:`~repro.core.fleet.FleetExecutor` — process-pool sharding with
-  mixed hardware revisions in one run;
-* :class:`~repro.core.fleet.SharedSubjectStore` — shared-memory blocks
-  must round-trip the fleet's arrays exactly.
+* :class:`~repro.core.fleet.FleetExecutor` — sharded replay with mixed
+  hardware revisions in one run, where every shard boundary is a
+  predictor fast-forward, plus kill-and-resume of checkpointed runs.
 
 The suite is deterministic (``derandomize=True``): every run replays the
 same example corpus, so tier-1 stays reproducible.
@@ -47,7 +46,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.decision_engine import Constraint
-from repro.core.fleet import FleetExecutor, SharedSubjectStore
+from repro.core.fleet import FleetExecutor
 from repro.core.runtime import (
     CHRISRuntime,
     EQUIVALENCE_TOLERANCES,
@@ -194,7 +193,9 @@ def fleet_scenarios(draw):
     return {
         "subjects": subjects,
         "order": draw(st.permutations(range(n_subjects))),
-        "workers": draw(st.sampled_from([1, 2, 4])),
+        # Executor shard-layout axis: every shard boundary is a
+        # fast-forward of the predictor streams.
+        "shards": draw(st.sampled_from([1, 2, 4])),
         "max_batch": draw(st.sampled_from([None, 1, 2])),
         # Serving-policy axis: the deadline dispatcher may hold arrivals
         # back (here with a tiny SLO so examples never stall), but batch
@@ -298,7 +299,6 @@ def test_scheduler_matches_sequential_replay(scenario):
     scheduler = FleetScheduler(
         make_runtime(scenario),
         CONSTRAINT,
-        max_workers=scenario["workers"],
         max_batch_size=scenario["max_batch"],
         use_oracle_difficulty=not scenario["use_rf"],
         policy=scenario["policy"],
@@ -360,8 +360,8 @@ def test_tolerance_fused_timeppg_within_documented_bounds(scenario):
     """The tolerance policy's contract, pinned on every scenario shape.
 
     Forces ``equivalence="tolerance"`` with a real TimePPG network in
-    the zoo (everything else — workers 1/2/4, arrival order, batch
-    limits, retirements, traces, hardware mix — still varies), submits
+    the zoo (everything else — arrival order, batch limits,
+    retirements, traces, hardware mix — still varies), submits
     the fleet as dynamic sessions, and checks the fused results against
     sequential replay: every field bit-identical except the predictions
     of windows routed to the fused TCN, which must stay within the
@@ -377,7 +377,6 @@ def test_tolerance_fused_timeppg_within_documented_bounds(scenario):
     scheduler = FleetScheduler(
         make_runtime(scenario),
         CONSTRAINT,
-        max_workers=scenario["workers"],
         max_batch_size=scenario["max_batch"],
         use_oracle_difficulty=not scenario["use_rf"],
         policy=scenario["policy"],
@@ -430,7 +429,7 @@ def test_tolerance_fused_timeppg_within_documented_bounds(scenario):
 @settings(max_examples=6, **SCENARIO_SETTINGS)
 @given(scenario=fleet_scenarios())
 def test_pool_executor_matches_sequential_replay(scenario):
-    """Process-pool sharding with mixed hardware == sequential replay."""
+    """Sharded replay with mixed hardware == sequential replay."""
     arrival, traces, systems = build_fleet(scenario)
     reference_runtime = make_runtime(scenario)
     sequential = reference_runtime.run_many(
@@ -442,37 +441,36 @@ def test_pool_executor_matches_sequential_replay(scenario):
         systems=systems,
     )
     executor = FleetExecutor(
-        make_runtime(scenario),
-        max_workers=min(scenario["workers"], 2),
-        shards_per_worker=2,
+        make_runtime(scenario), shards_per_worker=scenario["shards"]
     )
-    pooled = executor.run_fleet(
+    sharded = executor.run_fleet(
         arrival,
         CONSTRAINT,
         use_oracle_difficulty=not scenario["use_rf"],
         connected_traces=traces,
         systems=systems,
     )
-    assert pooled.subject_ids == sequential.subject_ids
+    assert sharded.subject_ids == sequential.subject_ids
     fused = tolerance_fused_models(reference_runtime)
     for sid in sequential.subject_ids:
         assert_results_equivalent(
             sequential.results[sid],
-            pooled.results[sid],
+            sharded.results[sid],
             fused,
             dtype=str(reference_runtime.dtype),
         )
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_float32_fleet_decision_compatible_across_workers(workers):
-    """A float32 fleet run is decision-compatible at any worker count.
+@pytest.mark.parametrize("shards_per_worker", [1, 2, 4])
+def test_float32_fleet_decision_compatible_across_workers(shards_per_worker):
+    """A float32 fleet run is decision-compatible at any shard layout.
 
     The sequential float64 bitwise run is the reference: a float32
     executor fleet must route every window to the same model and target
     with the same costs, report float32 predictions, and keep the
     predicted HR of every model within the documented float32 tolerance
-    bounds — whether one, two, or four workers execute the shards.
+    bounds — whether the fleet runs as one, two, or four shards.  (The
+    test keeps its name from when the axis was the worker count.)
     """
     scenario64 = {
         "stateful": "none",
@@ -488,14 +486,14 @@ def test_float32_fleet_decision_compatible_across_workers(workers):
         subjects, CONSTRAINT, use_oracle_difficulty=True, batched=False
     )
     executor = FleetExecutor(
-        make_runtime(scenario32), max_workers=workers, shards_per_worker=2
+        make_runtime(scenario32), shards_per_worker=shards_per_worker
     )
-    pooled = executor.run_fleet(subjects, CONSTRAINT, use_oracle_difficulty=True)
+    sharded = executor.run_fleet(subjects, CONSTRAINT, use_oracle_difficulty=True)
 
     atol, rtol = EQUIVALENCE_TOLERANCES["float32"]
-    assert pooled.subject_ids == reference.subject_ids
+    assert sharded.subject_ids == reference.subject_ids
     for sid in reference.subject_ids:
-        ref, res = reference.results[sid], pooled.results[sid]
+        ref, res = reference.results[sid], sharded.results[sid]
         assert res.predicted_hr.dtype == np.float32
         np.testing.assert_array_equal(ref.model_names, res.model_names)
         np.testing.assert_array_equal(ref.offloaded, res.offloaded)
@@ -507,32 +505,6 @@ def test_float32_fleet_decision_compatible_across_workers(workers):
             atol=atol,
             rtol=rtol,
         )
-
-
-@settings(max_examples=10, **SCENARIO_SETTINGS)
-@given(scenario=fleet_scenarios())
-def test_shared_subject_store_round_trips_exactly(scenario):
-    """Shared-memory blocks reproduce every array bit-exactly."""
-    arrival, _, _ = build_fleet(scenario)
-    store = SharedSubjectStore(arrival)
-    try:
-        handles, rebuilt = SharedSubjectStore.attach(store.manifest)
-        try:
-            assert [s.subject_id for s in rebuilt] == [s.subject_id for s in arrival]
-            for original, view in zip(arrival, rebuilt):
-                np.testing.assert_array_equal(original.ppg_windows, view.ppg_windows)
-                np.testing.assert_array_equal(original.accel_windows, view.accel_windows)
-                np.testing.assert_array_equal(original.activity, view.activity)
-                np.testing.assert_array_equal(original.hr, view.hr)
-                np.testing.assert_array_equal(original.difficulty, view.difficulty)
-                assert view.spec == original.spec
-        finally:
-            del rebuilt
-            for handle in handles:
-                handle.close()
-    finally:
-        store.close()
-        store.unlink()
 
 
 @settings(max_examples=6, **SCENARIO_SETTINGS)
@@ -547,19 +519,17 @@ def test_resumed_checkpoint_run_is_bit_identical_to_uninterrupted(
     a pure function of (pristine runtime, shipped plans, prior window
     counts): whether a shard executes before or after a crash cannot move
     a single bit, and loaded ``DONE`` shards are byte-verified staged
-    copies of exactly such executions.  So unlike the pooled-vs-sequential
+    copies of exactly such executions.  So unlike the sharded-vs-sequential
     comparison (which tolerates fused-model drift), this one asserts
     strict identity on every field.
     """
     arrival, traces, systems = build_fleet(scenario)
     use_oracle = not scenario["use_rf"]
-    workers = min(scenario["workers"], 2)
 
     def executor(directory):
         return FleetExecutor(
             make_runtime(scenario),
-            max_workers=workers,
-            shards_per_worker=2,
+            shards_per_worker=scenario["shards"],
             checkpoint_dir=directory,
             retry_backoff_s=0.0,
         )

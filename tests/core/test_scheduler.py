@@ -9,11 +9,13 @@ wiring.
 """
 
 import copy
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.core import faults
 from repro.core.decision_engine import Constraint
 from repro.core.runtime import CHRISRuntime
 from repro.core.scheduler import FleetScheduler, SessionState, VirtualClock
@@ -55,7 +57,7 @@ def make_subject(subject_id: str, n_windows: int = 40, seed: int = 0) -> Windowe
 class TestLifecycle:
     def test_sessions_stream_as_completed(self, calibrated_experiment):
         subjects = [make_subject(f"s{i}", seed=i) for i in range(5)]
-        with make_scheduler(calibrated_experiment, max_workers=2) as scheduler:
+        with make_scheduler(calibrated_experiment) as scheduler:
             sessions = [scheduler.submit(s.subject_id, s) for s in subjects]
             seen = []
             for session in scheduler.as_completed():
@@ -175,6 +177,8 @@ class TestValidationAndFailure:
         runtime = make_runtime(calibrated_experiment)
         with pytest.raises(ValueError):
             FleetScheduler(runtime, CONSTRAINT, max_workers=0)
+        with pytest.raises(ValueError, match="in process"):
+            FleetScheduler(runtime, CONSTRAINT, max_workers=2)
         with pytest.raises(ValueError):
             FleetScheduler(runtime, CONSTRAINT, max_batch_size=0)
 
@@ -259,8 +263,6 @@ class TestValidationAndFailure:
         the batch's exact planned start position."""
         import tempfile
 
-        from repro.core import faults
-
         subject = make_subject("flaky", seed=42)
         reference = make_runtime(calibrated_experiment).run_many(
             [subject], CONSTRAINT, use_oracle_difficulty=True, batched=False
@@ -338,7 +340,7 @@ class TestHeterogeneousSessions:
         )
         subjects = [make_subject(f"h{i}", seed=10 + i) for i in range(4)]
         systems = {"h0": stock, "h1": compressed, "h2": compressed}
-        with make_scheduler(calibrated_experiment, max_workers=2) as scheduler:
+        with make_scheduler(calibrated_experiment) as scheduler:
             sessions = [
                 scheduler.submit(s.subject_id, s, system=systems.get(s.subject_id))
                 for s in subjects
@@ -384,7 +386,7 @@ class TestExperimentWiring:
             small_dataset, CONSTRAINT
         )
         with copy.deepcopy(calibrated_experiment).fleet_scheduler(
-            CONSTRAINT, max_workers=2
+            CONSTRAINT
         ) as scheduler:
             scheduled_fleet = calibrated_experiment.run_fleet(
                 small_dataset, CONSTRAINT, scheduler=scheduler
@@ -424,46 +426,6 @@ class TestExperimentWiring:
                     activity_classifier=trained_activity_classifier,
                     scheduler=scheduler,
                 )
-
-
-class TestDispatchFailurePoisoning:
-    def _fail_pool_submit_once(self, scheduler) -> None:
-        original = scheduler._pool.submit
-
-        def boom(*args, **kwargs):
-            scheduler._pool.submit = original
-            raise MemoryError("transient enqueue failure")
-
-        scheduler._pool.submit = boom
-
-    def test_submit_failure_does_not_poison_snapshot_path(self, calibrated_experiment):
-        """With workers > 1 the stream was fast-forwarded before
-        pool.submit — as-if-planned accounting already covers the batch
-        that never ran, so the scheduler keeps serving."""
-        scheduler = make_scheduler(calibrated_experiment, max_workers=2)
-        self._fail_pool_submit_once(scheduler)
-        with scheduler:
-            lost = scheduler.submit("lost", make_subject("lost", seed=50))
-            scheduler.join()
-            assert lost.state is SessionState.FAILED
-            assert isinstance(lost.error, MemoryError)
-            recovered = scheduler.submit("next", make_subject("next", seed=51))
-            scheduler.join()
-        assert recovered.state is SessionState.DONE
-
-    def test_submit_failure_does_not_poison_serial_path(self, calibrated_experiment):
-        """With one worker nothing was advanced before pool.submit, so the
-        scheduler keeps serving after the transient failure."""
-        scheduler = make_scheduler(calibrated_experiment, max_workers=1)
-        self._fail_pool_submit_once(scheduler)
-        with scheduler:
-            lost = scheduler.submit("lost", make_subject("lost", seed=52))
-            scheduler.join()
-            recovered = scheduler.submit("next", make_subject("next", seed=53))
-            scheduler.join()
-        assert lost.state is SessionState.FAILED
-        assert isinstance(lost.error, MemoryError)
-        assert recovered.state is SessionState.DONE
 
 
 class GatedPredictor:
@@ -506,30 +468,33 @@ class GatedPredictor:
 class TestRetireRacingDispatchedBatch:
     """retire() on a session already inside an in-flight mega-batch.
 
-    The race: the dispatcher popped the session (state RUNNING), the
-    worker thread is executing its batch, and the consumer calls
-    ``retire``.  The retire must refuse (``False``), must not deliver a
-    RETIRED resolution (the session resolves exactly once, as DONE when
-    the batch lands), and must not poison the epoch — later submissions
-    still run and deliver.
+    The race: the dispatcher popped the session (state RUNNING) and is
+    executing its batch, ``queued`` more sessions arrive behind it, and
+    the consumer calls ``retire`` on the in-flight one.  The retire must
+    refuse (``False``), must not deliver a RETIRED resolution (the
+    session resolves exactly once, as DONE when the batch lands), and
+    must not poison the epoch — the sessions queued behind it and later
+    submissions still run and deliver.
     """
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_retire_neither_delivers_nor_poisons(self, calibrated_experiment, workers):
-        import threading
-
+    @pytest.mark.parametrize("queued", [1, 2, 4])
+    def test_retire_neither_delivers_nor_poisons(self, calibrated_experiment, queued):
         GatedPredictor.STARTED = threading.Event()
         GatedPredictor.RELEASE = threading.Event()
         runtime = make_runtime(calibrated_experiment)
         for entry in runtime.zoo:
             entry.predictor = GatedPredictor()
 
-        scheduler = FleetScheduler(
-            runtime, CONSTRAINT, max_workers=workers, use_oracle_difficulty=True
-        )
+        scheduler = FleetScheduler(runtime, CONSTRAINT, use_oracle_difficulty=True)
         try:
             session = scheduler.submit("inflight", make_subject("inflight", seed=1))
             assert GatedPredictor.STARTED.wait(timeout=30)
+            behind = [
+                scheduler.submit(f"behind{i}", make_subject(f"behind{i}", seed=10 + i))
+                for i in range(queued)
+            ]
+            # The dispatcher is busy executing: arrivals wait in the queue.
+            assert all(s.state is SessionState.QUEUED for s in behind)
 
             assert scheduler.retire(session) is False
             assert session.state is SessionState.RUNNING
@@ -539,12 +504,15 @@ class TestRetireRacingDispatchedBatch:
             assert session.state is SessionState.DONE
             assert session.result is not None
             assert session.result.n_windows == session.recording.n_windows
+            assert all(s.state is SessionState.DONE for s in behind)
+            assert scheduler.latency_stats()["n_batches"] == 2
 
-            # Exactly one delivery, as DONE — the refused retire did not
-            # enqueue a second (RETIRED) resolution.
-            delivered = scheduler.next_done(timeout=5.0)
-            assert delivered is session
-            assert delivered.state is SessionState.DONE
+            # Exactly one delivery each, as DONE — the refused retire did
+            # not enqueue a second (RETIRED) resolution.
+            delivered = [scheduler.next_done(timeout=5.0) for _ in range(1 + queued)]
+            assert delivered[0] is session
+            assert set(delivered[1:]) == set(behind)
+            assert all(d.state is SessionState.DONE for d in delivered)
             assert scheduler.next_done(timeout=0.05) is None
 
             # The epoch is not poisoned: the stream keeps serving.
@@ -569,18 +537,17 @@ class GatedFailingPredictor(GatedPredictor):
 class TestCloseRacingFailingBatch:
     """``close(wait=True)`` while an in-flight batch is about to fail.
 
-    The race: a dispatched batch is mid-execution when the consumer calls
-    ``close(wait=True)``; the batch then fails.  The session must resolve
-    exactly once (FAILED), ``close`` must return (``join`` observes
-    ``_unresolved`` reaching zero — a double resolution would push it
-    negative or strand it positive and hang the close), and
-    ``as_completed`` must deliver the failed session and terminate.
+    The race: a dispatched batch is mid-execution, ``queued`` more
+    sessions wait behind it, and the consumer calls ``close(wait=True)``;
+    every batch then fails.  Each session must resolve exactly once
+    (FAILED), ``close`` must return (``join`` observes ``_unresolved``
+    reaching zero — a double resolution would push it negative or strand
+    it positive and hang the close), and ``as_completed`` must deliver
+    the failed sessions and terminate.
     """
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_close_wait_drains_failing_batch(self, calibrated_experiment, workers):
-        import threading
-
+    @pytest.mark.parametrize("queued", [1, 2, 4])
+    def test_close_wait_drains_failing_batch(self, calibrated_experiment, queued):
         GatedFailingPredictor.STARTED = threading.Event()
         GatedFailingPredictor.RELEASE = threading.Event()
         runtime = make_runtime(calibrated_experiment)
@@ -590,13 +557,16 @@ class TestCloseRacingFailingBatch:
         scheduler = FleetScheduler(
             runtime,
             CONSTRAINT,
-            max_workers=workers,
             use_oracle_difficulty=True,
             max_retries=0,
             retry_backoff_s=0.0,
         )
         session = scheduler.submit("doomed", make_subject("doomed", seed=5))
         assert GatedFailingPredictor.STARTED.wait(timeout=30)
+        behind = [
+            scheduler.submit(f"behind{i}", make_subject(f"behind{i}", seed=20 + i))
+            for i in range(queued)
+        ]
 
         closer = threading.Thread(target=scheduler.close, kwargs={"wait": True})
         closer.start()
@@ -608,9 +578,11 @@ class TestCloseRacingFailingBatch:
             assert session.state is SessionState.FAILED
             assert isinstance(session.error, RuntimeError)
             assert session.result is None
-            # Exactly one delivery, then a clean end of stream.
+            assert all(s.state is SessionState.FAILED for s in behind)
+            # Exactly one delivery each, then a clean end of stream.
             delivered = list(scheduler.as_completed())
-            assert delivered == [session]
+            assert delivered[0] is session
+            assert sorted(delivered[1:], key=lambda s: s.ticket) == behind
             assert scheduler._unresolved == 0  # unguarded read: scheduler is closed
         finally:
             GatedFailingPredictor.RELEASE.set()
@@ -668,9 +640,11 @@ class TestServingValidation:
                 scheduler.submit("s0", make_subject("s0"), slo_s=0.0)
 
     def test_open_stream_requires_single_worker(self, calibrated_experiment):
-        with make_scheduler(calibrated_experiment, max_workers=2) as scheduler:
-            with pytest.raises(ValueError, match="max_workers"):
-                scheduler.open_stream("w0")
+        """Streams need no worker check: no scheduler runs more than one."""
+        with pytest.raises(ValueError, match="max_workers"):
+            make_scheduler(calibrated_experiment, max_workers=2)
+        with make_scheduler(calibrated_experiment, max_workers=1) as scheduler:
+            scheduler.open_stream("w0").close()
 
     def test_duplicate_stream_id_rejected(self, calibrated_experiment):
         with make_scheduler(calibrated_experiment) as scheduler:
@@ -842,6 +816,60 @@ class TestStreamingBitIdentity:
         ordered = sorted(sessions, key=lambda s: s.ticket)
         predicted = np.concatenate([s.result.predicted_hr for s in ordered])
         np.testing.assert_array_equal(predicted, reference.predicted_hr)
+
+    def test_pushes_during_an_executing_batch_fuse_into_one(
+        self, calibrated_experiment, monkeypatch
+    ):
+        # The dispatcher executes batches itself, so pushes arriving while
+        # it is busy keep coalescing in the queue and dispatch together.
+        # The first batch is held at its fault site until every later
+        # push has arrived.
+        started, release = threading.Event(), threading.Event()
+        fire = faults.fire
+
+        def gated_fire(site, shard=None):
+            if site == "scheduler.batch" and not started.is_set():
+                started.set()
+                assert release.wait(timeout=30), "test gate never released"
+            fire(site, shard)
+
+        monkeypatch.setattr(faults, "fire", gated_fire)
+        subject = make_subject("w0", n_windows=9, seed=6)
+        reference = (
+            make_stateful_runtime(calibrated_experiment)
+            .run_many([subject], CONSTRAINT, use_oracle_difficulty=True)
+            .results["w0"]
+        )
+        scheduler = FleetScheduler(
+            make_stateful_runtime(calibrated_experiment),
+            CONSTRAINT,
+            use_oracle_difficulty=True,
+        )
+        try:
+            stream = scheduler.open_stream("w0")
+            first = push_window(stream, subject, 0)
+            assert started.wait(timeout=30)
+            rest = []
+            for w in range(1, subject.n_windows):
+                rest.append(push_window(stream, subject, w))
+                # Room for a free dispatcher to take the push on its own;
+                # the busy one must leave it queued.
+                time.sleep(0.01)
+            assert all(s is rest[0] for s in rest)
+            release.set()
+            scheduler.join()
+            stats = scheduler.latency_stats()
+            assert stats["n_batches"] == 2
+            assert stats["mean_batch_windows"] == subject.n_windows / 2
+            assert first.state is rest[0].state is SessionState.DONE
+            predicted = np.concatenate([first.result.predicted_hr, rest[0].result.predicted_hr])
+            models = np.concatenate([first.result.model_names, rest[0].result.model_names])
+            np.testing.assert_array_equal(predicted, reference.predicted_hr)
+            np.testing.assert_array_equal(models, reference.model_names)
+            stream.close()
+        finally:
+            release.set()
+            scheduler.close()
 
     def test_multi_stream_round_robin_matches_replay(self, calibrated_experiment):
         subjects = [make_subject(f"w{i}", n_windows=8, seed=10 + i) for i in range(3)]

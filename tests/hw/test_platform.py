@@ -246,7 +246,7 @@ class TestCostTableRegistry:
 
 class TestCostTableErrorPaths:
     """Corrupt payloads and strict lookups must fail loudly, never
-    silently re-profile (a worker handed a broken table would otherwise
+    silently re-profile (a caller handed a broken table would otherwise
     mask the deployment bug by recomputing everything)."""
 
     def _profiled_registry(self) -> tuple[CostTableRegistry, WearableSystem]:
@@ -340,28 +340,9 @@ class TestCostTableErrorPaths:
         with pytest.raises(CostTableError, match="'entries' must be a list"):
             CostTableRegistry.from_json('[{"revision": [], "entries": 42}]')
 
-    def test_strict_mode_routes_lookup_through_cost_for(self):
-        """Fleet workers flip strict on the loaded registry: a miss then
-        raises through the normal cached_prediction_cost path instead of
-        silently re-profiling."""
-        registry = CostTableRegistry()
-        registry.strict = True
-        system = WearableSystem(cost_registry=registry)
-        with pytest.raises(CostTableError, match="no cost table"):
-            system.cached_prediction_cost(
-                PAPER_DEPLOYMENTS["AT"], ExecutionTarget.WATCH
-            )
-        assert registry.n_entries == 0
-        registry.strict = False
-        registry.profile_system(system, [PAPER_DEPLOYMENTS["AT"]])
-        registry.strict = True
-        assert system.cached_prediction_cost(
-            PAPER_DEPLOYMENTS["AT"], ExecutionTarget.WATCH
-        ) == registry.cost_for(system, PAPER_DEPLOYMENTS["AT"], ExecutionTarget.WATCH)
-
 
 class TestConcurrentRegistryAccess:
-    """The registry is shared mutable state across scheduler/worker threads.
+    """The registry is shared mutable state across threads.
 
     Regression for the unguarded-table era: concurrent fills while another
     thread serialized raised ``RuntimeError: dictionary changed size during
