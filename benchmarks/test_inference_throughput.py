@@ -5,8 +5,8 @@ the per-window compute path: the adaptive-threshold raw peak detector
 now runs as one batched threshold recurrence + region extraction over
 the whole window stack (bit-identical per row to the scalar detector),
 and TimePPG's frozen inference network (batch norm folded into the
-convolutions, GEMM im2col lowering) replaces the training-oriented
-layer stack.  On top, the ``equivalence="tolerance"`` policy fuses
+convolutions, run channel-major with batched GEMMs per conv layer) replaces
+the training-oriented layer stack.  On top, the ``equivalence="tolerance"`` policy fuses
 TimePPG's forward across subjects in fleet replays.  This benchmark
 pins regression floors for all three paths so they fail loudly, plus
 one for the difficulty detector's batched accelerometer features

@@ -68,11 +68,11 @@ How strictly the fast paths must reproduce sequential replay is an
 explicit runtime policy (``CHRISRuntime(equivalence=...)``):
 
 * ``"bitwise"`` (default) — every fast path is **bit-identical** to
-  sequential replay.  Predictors whose batch lowering is not
-  row-bit-stable across batch shapes (``TOLERANCE_FUSABLE``, i.e. the
-  TimePPG TCNs, whose BLAS accumulation blocking depends on the batch
-  size) keep per-subject forward batches so every chunk boundary falls
-  exactly where sequential replay puts it.
+  sequential replay.  ``TOLERANCE_FUSABLE`` predictors (the TimePPG
+  TCNs) keep per-subject forward batches so every chunk boundary falls
+  exactly where sequential replay puts it.  Their frozen forward is
+  row-stable across batch shapes (:func:`repro.nn.network.forward_frozen`),
+  so this dispatch is kept for the policy, not for the bits.
 * ``"tolerance"`` — those predictors join the cross-subject fused
   mega-batch like every other model: one plain batch ``predict`` per
   model for the whole fleet.  Model routing, offload decisions, energy

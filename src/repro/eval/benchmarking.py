@@ -44,6 +44,7 @@ from repro.models.timeppg import (
     TimePPGConfig,
     TimePPGPredictor,
 )
+from repro.nn.network import forward_frozen
 from repro.signal.features import accelerometer_features, feature_vector
 from repro.signal.windowing import DEFAULT_WINDOW_SPEC
 
@@ -434,7 +435,8 @@ def benchmark_inference(
       ``window_length``-sample windows, with a ``bit_identical`` flag
       (the batched detector is pinned bit-exact per row).
     * **TimePPG inference mode** — the frozen network (batch norm folded
-      into the convolutions, GEMM im2col lowering, no backward caches)
+      into the convolutions, run channel-major by
+      :func:`~repro.nn.network.forward_frozen`, no backward caches)
       against the training-mode forward of the same weights on the same
       prepared batches.  The ``outputs_equal`` flag compares the frozen
       outputs with the reference *evaluation* forward (captured before
@@ -499,7 +501,7 @@ def benchmark_inference(
         )
 
     def run_inference() -> np.ndarray:
-        return np.concatenate([frozen.forward(c, training=False) for c in chunks])
+        return np.concatenate([forward_frozen(frozen, c) for c in chunks])
 
     def timed(run):
         best = float("inf")
@@ -656,10 +658,12 @@ def benchmark_dtype_inference(
       with precision — but on this workload the margins are macroscopic.
     * **Frozen TimePPG per dtype** — the inference-mode forward of the
       same weights frozen at float64 (``freeze()``) and at float32
-      (``freeze(dtype="float32")``) on identical prepared batches, with
+      (``freeze(dtype="float32")``) on identical prepared batches,
+      through :func:`~repro.nn.network.forward_frozen` as deployed, with
       a ``within_tolerance`` flag checked against the documented float32
-      equivalence bound (:data:`EQUIVALENCE_TOLERANCES`).  The frozen
-      GEMMs dominate, so this isolates the BLAS single-precision win.
+      equivalence bound (:data:`EQUIVALENCE_TOLERANCES`).  The column
+      gathers and GEMMs dominate, so this measures the single-precision
+      win in memory traffic and BLAS.
 
     Every timed path reports the best of ``repeats``.  The checked-in
     floors live in ``benchmarks/test_dtype_throughput.py``.
@@ -714,14 +718,16 @@ def benchmark_dtype_inference(
     p32 = TimePPGPredictor(TIMEPPG_SMALL_CONFIG, seed=seed).freeze(dtype="float32")
     batch64 = p64.prepare_input(ppg, accel)
     batch32 = p32.prepare_input(ppg, accel)
-    # Mega-batch-scale chunks: small chunks are im2col-overhead bound,
-    # which buries the single-precision GEMM win this path measures.
+    # Mega-batch-scale chunks: at a few windows per chunk the per-layer
+    # numpy call overhead (gather, GEMM dispatch, bias, ReLU) rivals the
+    # arithmetic and buries the single-precision GEMM win this path
+    # measures.
     chunks64 = [batch64[i : i + nn_chunk] for i in range(0, n_nn_windows, nn_chunk)]
     chunks32 = [batch32[i : i + nn_chunk] for i in range(0, n_nn_windows, nn_chunk)]
 
     def run_nn(frozen, chunks):
         def run():
-            return np.concatenate([frozen.forward(c, training=False) for c in chunks])
+            return np.concatenate([forward_frozen(frozen, c) for c in chunks])
 
         return run
 

@@ -25,24 +25,27 @@ Inference mode and the equivalence policy
 -----------------------------------------
 :meth:`TimePPGPredictor.freeze` builds a frozen inference network —
 batch norm folded into the convolution weights
-(:func:`repro.nn.network.fold_batchnorm`) on top of the numpy stack's
-GEMM inference lowering — which :meth:`TimePPGPredictor._forward` then
-uses instead of the training-oriented layer stack.  Folding changes
+(:func:`repro.nn.network.fold_batchnorm`) — which
+:meth:`TimePPGPredictor._forward` runs through
+:func:`repro.nn.network.forward_frozen`: activations stay channel-major
+and every convolution multiplies the whole chunk's windows at once
+(:meth:`repro.nn.layers.Conv1d.forward_channel_major`).  Folding changes
 predictions only by floating-point rounding (weights absorb the
 normalization exactly, up to one rounding per weight).
 
-TimePPG's forward is stateless, but its conv/dense layers go through
-BLAS, whose accumulation blocking depends on the batch shape — the same
-window is not bit-identical across different batch sizes.  Under the
-fleet engine's default **bitwise** equivalence policy the predictor
-therefore keeps per-subject forward batches (``FLEET_BATCHABLE =
-False``: every 64-window chunk boundary falls exactly where sequential
-replay puts it).  Under ``equivalence="tolerance"``
-(:mod:`repro.core.runtime`) the runtime fuses TimePPG's windows across
-all subjects into one mega-batch per fleet call (``TOLERANCE_FUSABLE =
-True``): routing, offload decisions and costs stay bit-identical, and
-only the predicted BPM may move within the documented
-``EQUIVALENCE_ATOL`` / ``EQUIVALENCE_RTOL``.
+The frozen forward is row-stable: every conv GEMM column and every
+row-wise dense product is computed the same way whatever the chunk
+size, so a window's prediction carries the same bits in a one-window
+call and in a 64-window chunk (pinned by a golden digest in
+``tests/models/test_timeppg.py``).  The fleet engine's default
+**bitwise** equivalence policy still dispatches TimePPG per subject
+(``FLEET_BATCHABLE = False``); with rows stable, fusing subjects under
+bitwise is a follow-up, not a correctness hazard.  Under
+``equivalence="tolerance"`` (:mod:`repro.core.runtime`) the runtime
+fuses TimePPG's windows across all subjects into one mega-batch per
+fleet call (``TOLERANCE_FUSABLE = True``): routing, offload decisions
+and costs stay bit-identical, and only the predicted BPM may move
+within the documented ``EQUIVALENCE_ATOL`` / ``EQUIVALENCE_RTOL``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 from repro.dtypes import resolve_dtype
 from repro.models.base import HeartRatePredictor, PredictorInfo
 from repro.nn.layers import AvgPool1d, BatchNorm1d, Conv1d, Dense, Flatten, ReLU
-from repro.nn.network import Sequential, fold_batchnorm
+from repro.nn.network import Sequential, fold_batchnorm, forward_frozen
 from repro.nn.ops_count import count_macs, count_parameters
 from repro.nn.quantization import QuantizedSequential
 from repro.signal.filters import standardize
@@ -187,10 +190,9 @@ class TimePPGPredictor(HeartRatePredictor):
         Initialization seed used when ``network`` is omitted.
     """
 
-    #: Stateless forward, but not row-bit-stable across batch shapes —
-    #: may fuse across subjects under the tolerance equivalence policy
-    #: (see the module docstring), and for the same reason must *not* be
-    #: naively fleet-batched under the bitwise policy.
+    #: Stateless and row-stable (see the module docstring); fused across
+    #: subjects only under the tolerance equivalence policy until the
+    #: bitwise policy adopts fleet batching for it too.
     FLEET_BATCHABLE = False
     TOLERANCE_FUSABLE = True
 
@@ -258,17 +260,18 @@ class TimePPGPredictor(HeartRatePredictor):
         """Build the frozen inference network (batch norm folded into convs).
 
         Call after the weights are final (post-training, pre-deployment):
-        :meth:`_forward` then runs the folded network through the GEMM
-        inference lowering instead of the training-oriented layer stack.
+        :meth:`_forward` then runs the folded network through the
+        channel-major :func:`~repro.nn.network.forward_frozen` instead of
+        the training-oriented layer stack.
         The fold snapshots the current weights — training afterwards
         requires calling :meth:`freeze` again (or :meth:`unfreeze`).  A
         quantized network (:attr:`quantized`) still takes precedence.
 
         ``dtype`` (e.g. ``"float32"``) builds a reduced-precision frozen
         network — fold in the source precision, cast once — and pins the
-        input-preparation dtype to match, so the whole forward (im2col
-        columns, GEMM, bias adds) runs in that dtype with no float64
-        temporaries.  ``None`` keeps the training network's dtype.
+        input-preparation dtype to match, so the whole forward (halo and
+        column buffers, GEMM, bias adds) runs in that dtype with no
+        float64 temporaries.  ``None`` keeps the training network's dtype.
         """
         self._frozen = fold_batchnorm(self.network, dtype=dtype)
         self._dtype = resolve_dtype(dtype, default=self.network.dtype)
@@ -319,7 +322,7 @@ class TimePPGPredictor(HeartRatePredictor):
                 return self.quantized.forward_integer(batch)
             return self.quantized.forward(batch)
         if self._frozen is not None:
-            return self._frozen.forward(batch, training=False)
+            return forward_frozen(self._frozen, batch)
         return self.network.forward(batch, training=False)
 
     def predict(  # hot-path
@@ -363,20 +366,16 @@ class TimePPGPredictor(HeartRatePredictor):
     ) -> np.ndarray:
         """Fused fleet prediction with per-subject forward batches.
 
-        The TCN forward reads no temporal state, but its dense/conv
-        layers go through BLAS, whose accumulation blocking depends on
-        the batch shape — the same row is not bit-identical across
-        different batch sizes (gemv vs gemm kernels).  Fusing subjects
-        would therefore shift the 64-window chunk boundaries relative
-        to sequential replay and change low-order bits.  The reference
-        per-subject dispatch keeps every chunk boundary exactly where
-        sequential replay puts it, so ``FLEET_BATCHABLE`` stays
-        ``False`` and the fused call delegates per subject — that is the
-        runtime's default *bitwise* equivalence policy.  Under
+        The TCN forward reads no temporal state, and the frozen forward
+        is row-stable: a window's bits do not depend on the chunk it is
+        computed in.  The per-subject dispatch (``FLEET_BATCHABLE =
+        False``: every 64-window chunk boundary falls where sequential
+        replay puts it) stays as the runtime's default *bitwise*
+        equivalence policy until fleet batching replaces it.  Under
         ``equivalence="tolerance"`` the runtime bypasses this method and
         fuses TimePPG's windows across subjects into one plain
-        :meth:`predict` mega-batch (``TOLERANCE_FUSABLE``), trading the
-        bitwise contract for the documented atol/rtol.
+        :meth:`predict` mega-batch (``TOLERANCE_FUSABLE``), under the
+        documented atol/rtol.
         """
         return super().predict_fleet(
             ppg_windows,

@@ -9,7 +9,9 @@ scratch on NumPy:
 * layers with explicit forward/backward passes — 1-D convolutions with
   dilation and stride, dense layers, batch normalization, ReLU, pooling,
   flatten, dropout (:mod:`repro.nn.layers`);
-* a :class:`~repro.nn.network.Sequential` container;
+* a :class:`~repro.nn.network.Sequential` container and the
+  channel-major frozen inference forward
+  (:func:`~repro.nn.network.forward_frozen`);
 * regression losses (:mod:`repro.nn.losses`);
 * SGD and Adam optimizers (:mod:`repro.nn.optim`);
 * a mini-batch trainer with validation-based early stopping
@@ -35,7 +37,7 @@ from repro.nn.layers import (
     Layer,
     ReLU,
 )
-from repro.nn.network import Sequential, fold_batchnorm
+from repro.nn.network import Sequential, fold_batchnorm, forward_frozen
 from repro.nn.losses import HuberLoss, L1Loss, Loss, MSELoss
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.training import TrainingHistory, Trainer, TrainerConfig
@@ -54,6 +56,7 @@ __all__ = [
     "ReLU",
     "Sequential",
     "fold_batchnorm",
+    "forward_frozen",
     "HuberLoss",
     "L1Loss",
     "Loss",

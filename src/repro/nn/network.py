@@ -1,4 +1,4 @@
-"""Sequential network container and frozen-network batch-norm folding."""
+"""Sequential network container, batch-norm folding and the frozen forward."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import copy
 import numpy as np
 
 from repro.dtypes import resolve_dtype
-from repro.nn.layers import BatchNorm1d, Conv1d, Layer
+from repro.nn.layers import AvgPool1d, BatchNorm1d, Conv1d, Flatten, Layer, ReLU
 
 
 class Sequential:
@@ -98,9 +98,9 @@ class Sequential:
         """Convert every layer's parameters and buffers to ``dtype`` in place.
 
         Threads the runtime dtype through the whole stack (weights,
-        biases, batch-norm running statistics, gradient buffers); scratch
-        buffers like the im2col column buffer re-inherit the new dtype
-        lazily on the next forward pass.  Returns ``self`` (chainable).
+        biases, batch-norm running statistics, gradient buffers); the
+        inference scratch arrays are per call and take the input's
+        dtype.  Returns ``self`` (chainable).
         """
         for layer in self.layers:
             layer.to_dtype(dtype)
@@ -121,19 +121,17 @@ class Sequential:
 
 
 def _strip_runtime_buffers(layer: Layer) -> Layer:
-    """Drop backward caches / scratch buffers from a copied layer.
+    """Drop backward caches from a copied layer.
 
     The folded network is inference-only: carrying a deep copy of the
     source layers' training caches (im2col tensors, batch-norm and
-    dropout masks) or GEMM column buffers would pin a full training
-    batch's activations for the frozen network's lifetime.
+    dropout masks) would pin a full training batch's activations for
+    the frozen network's lifetime.
     """
     if hasattr(layer, "_cache"):
         layer._cache = {} if isinstance(layer._cache, dict) else None
     if hasattr(layer, "_mask"):
         layer._mask = None
-    if hasattr(layer, "_gemm_cols"):
-        layer._gemm_cols = None
     return layer
 
 
@@ -198,3 +196,47 @@ def fold_batchnorm(network: Sequential, dtype=None) -> Sequential:
     if dtype is not None:
         folded.to_dtype(resolve_dtype(dtype))
     return folded
+
+
+def forward_frozen(network: Sequential, x: np.ndarray) -> np.ndarray:  # hot-path
+    """Inference forward of a frozen network, channel-major end to end.
+
+    ``x`` is a batch-major ``(batch, channels, length)`` input.  It is
+    viewed as ``(channels, batch, length)`` once, and the activations
+    stay in that layout through every convolution: each
+    :class:`~repro.nn.layers.Conv1d` multiplies the whole batch at once
+    (:meth:`~repro.nn.layers.Conv1d.forward_channel_major`), a ReLU
+    clamps the fresh GEMM output in place, and average pooling works on
+    the time axis, which is last in both layouts.  :class:`Flatten`
+    returns to batch-major ``(batch, features)`` rows for the dense
+    head, whose inference forward is row by row.  Any other layer runs
+    its own batch-major inference forward; a 3-D result returns to
+    channel-major, a 2-D one (e.g. global pooling) stays as rows.
+
+    Bit for bit this equals ``network.forward(x, training=False)``, and
+    each output row is independent of the batch it was computed in, so
+    a one-window call and a 241-window chunk agree exactly.
+    """
+    x = np.asarray(x)
+    batch = x.shape[0]
+    out = x.transpose(1, 0, 2)
+    owned = False  # whether ``out`` is scratch of this call, not the input
+    for layer in network.layers:  # loop-ok: per layer, not per window
+        if isinstance(layer, ReLU):
+            out = np.maximum(out, 0, out=out if owned else None)
+        elif out.ndim == 3 and isinstance(layer, Conv1d):
+            out = layer.forward_channel_major(out)
+        elif out.ndim == 3 and isinstance(layer, AvgPool1d):
+            out = layer.forward(out)
+        elif out.ndim == 3 and isinstance(layer, Flatten):
+            out = out.transpose(1, 0, 2).reshape(batch, out.shape[0] * out.shape[2])
+        elif out.ndim == 3:
+            out = layer.forward(out.transpose(1, 0, 2))
+            if out.ndim == 3:
+                out = out.transpose(1, 0, 2)
+        else:
+            out = layer.forward(out)
+        owned = not np.may_share_memory(out, x)
+    if out.ndim == 3:
+        return out.transpose(1, 0, 2)
+    return out

@@ -18,6 +18,9 @@ from repro.core.runtime import (
     EQUIVALENCE_POLICIES,
     EQUIVALENCE_RTOL,
 )
+from repro.data.dataset import WindowedSubject
+from repro.models.timeppg import TIMEPPG_BIG_CONFIG, TimePPGPredictor
+from repro.signal.windowing import DEFAULT_WINDOW_SPEC
 
 from tests.core.test_fleet_properties import (
     TINY_TIMEPPG_CONFIG,
@@ -31,17 +34,15 @@ from tests.core.test_runtime_batched import assert_results_identical
 CONSTRAINT = Constraint.max_mae(6.0)
 
 
-def timeppg_runtime(equivalence: str) -> CHRISRuntime:
-    """A runtime whose TimePPG-Big entry is a real (tiny, frozen) TCN."""
+def timeppg_runtime(equivalence: str, predictor=None) -> CHRISRuntime:
+    """A runtime whose TimePPG-Big entry is a real frozen TCN (tiny by default)."""
     import copy
-
-    from repro.models.timeppg import TimePPGPredictor
 
     experiment = _experiment()
     zoo = copy.deepcopy(experiment.zoo)
-    zoo.entry("TimePPG-Big").predictor = TimePPGPredictor(
-        TINY_TIMEPPG_CONFIG, seed=3
-    ).freeze()
+    if predictor is None:
+        predictor = TimePPGPredictor(TINY_TIMEPPG_CONFIG, seed=3).freeze()
+    zoo.entry("TimePPG-Big").predictor = predictor
     return CHRISRuntime(
         zoo=zoo,
         engine=experiment.engine,
@@ -55,6 +56,37 @@ def small_fleet(n_subjects: int = 4, n_windows: int = 30):
         make_subject(f"eq-{i:02d}", n_windows, seed=100 + i)
         for i in range(n_subjects)
     ]
+
+
+def full_size_big(bias_shift: float = 100.0) -> TimePPGPredictor:
+    """Frozen full-size TimePPG-Big whose raw outputs land inside (30, 220).
+
+    An untrained network outputs about 1 BPM, which the predictor clips
+    to 30 for every window, hiding every low-order bit.  Shifting the
+    frozen head's final bias moves the raw outputs to about 100 BPM, so
+    the predictions carry the network's bits.
+    """
+    predictor = TimePPGPredictor(TIMEPPG_BIG_CONFIG, seed=3).freeze()
+    predictor._frozen.layers[-1].params["bias"] += bias_shift
+    return predictor
+
+
+def full_window_fleet(n_subjects: int = 3, n_windows: int = 160):
+    """Noise recordings at the deployed 256-sample window geometry."""
+    subjects = []
+    for i in range(n_subjects):
+        rng = np.random.default_rng(300 + i)
+        subjects.append(
+            WindowedSubject(
+                subject_id=f"full-{i:02d}",
+                ppg_windows=rng.standard_normal((n_windows, DEFAULT_WINDOW_SPEC.length)),
+                accel_windows=rng.standard_normal((n_windows, DEFAULT_WINDOW_SPEC.length, 3)),
+                activity=rng.integers(0, 9, size=n_windows),
+                hr=70.0 + 30.0 * rng.random(n_windows),
+                spec=DEFAULT_WINDOW_SPEC,
+            )
+        )
+    return subjects
 
 
 def count_predict_calls(runtime: CHRISRuntime, name: str) -> list:
@@ -129,6 +161,33 @@ class TestResults:
         )
         for sid in sequential.subject_ids:
             assert_results_identical(sequential.results[sid], mega.results[sid])
+
+    def test_bitwise_is_bit_identical_with_unclipped_full_size_big(self):
+        """Scalar oracle == batched path on predictions that carry real bits.
+
+        One window per forward against 64-window chunks: before the
+        dense head was row-stable this differed on a few windows.
+        """
+        subjects = full_window_fleet()
+        sequential = timeppg_runtime("bitwise", full_size_big()).run_many(
+            subjects, CONSTRAINT, use_oracle_difficulty=True, batched=False
+        )
+        batched = timeppg_runtime("bitwise", full_size_big()).run_many(
+            subjects, CONSTRAINT, use_oracle_difficulty=True
+        )
+        on_big = np.concatenate(
+            [
+                sequential.results[sid].predicted_hr[
+                    sequential.results[sid].model_names.astype(str) == "TimePPG-Big"
+                ]
+                for sid in sequential.subject_ids
+            ]
+        )
+        assert on_big.size >= 150
+        inside = (on_big > 30.0) & (on_big < 220.0)
+        assert inside.mean() > 0.9, "TimePPG outputs must not be clipped"
+        for sid in sequential.subject_ids:
+            assert_results_identical(sequential.results[sid], batched.results[sid])
 
     def test_tolerance_mega_within_documented_bounds(self):
         subjects = small_fleet()

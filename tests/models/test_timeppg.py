@@ -1,8 +1,11 @@
 """Tests for the TimePPG temporal convolutional networks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.runtime import EQUIVALENCE_TOLERANCES
 from repro.models.timeppg import (
     TIMEPPG_BIG_CONFIG,
     TIMEPPG_SMALL_CONFIG,
@@ -152,6 +155,96 @@ class TestInferenceMode:
     def test_tolerance_fusable_flag(self):
         assert TimePPGPredictor.TOLERANCE_FUSABLE
         assert not TimePPGPredictor.FLEET_BATCHABLE
+
+
+def _digest(*arrays: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+def _blas_probe() -> str:
+    """Digest of two GEMM/gemv products shaped like TimePPG-Big's layers.
+
+    BLAS kernels round differently across CPU families (blocking and
+    FMA order are chosen per microarchitecture), so a golden digest of
+    network outputs only holds where these products round the same way
+    as on the machine that recorded it.
+    """
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((128, 640)), rng.standard_normal((640, 32))
+    v, w = rng.standard_normal((1, 2048)), rng.standard_normal((2048, 8))
+    return _digest(a @ b, v @ w)
+
+
+#: ``_blas_probe()`` on the machine that recorded the golden digests
+#: (OpenBLAS 0.3.31, numpy 2.4, x86-64 with AVX-512).
+RECORDED_BLAS_PROBE = "ed787a30fb6534171195c923ef8d64e95001304e615d9e2f8871c5342e2777eb"
+
+#: sha256 of the raw (pre-clip) frozen float64 outputs, one window per
+#: forward, recorded with the per-window GEMM lowering that preceded the
+#: channel-major kernel: (config, network seed, golden digest).
+GOLDEN_RAW_OUTPUTS = [
+    (TIMEPPG_BIG_CONFIG, 11, "4fb33eb25b5b1c29de9a5c57ff70da54b500e9f044e587e141ef4eb0f24637d3"),
+    (TIMEPPG_SMALL_CONFIG, 12, "8f9f003b552d7914ad4ba80cfb4074c9acc760aa24099446bfc3108000a17583"),
+]
+
+GOLDEN_CHUNKS = (1, 2, 3, 7, 64, 241)
+
+
+def _golden_batch(predictor: TimePPGPredictor, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed + 100)
+    return predictor.prepare_input(
+        rng.standard_normal((256, 256)), rng.standard_normal((256, 256, 3))
+    )
+
+
+def _raw_outputs(predictor: TimePPGPredictor, batch: np.ndarray, chunk: int) -> np.ndarray:
+    return np.concatenate(
+        [predictor._forward(batch[s:s + chunk]) for s in range(0, len(batch), chunk)]
+    )
+
+
+@pytest.mark.parametrize(
+    "config,seed,golden", GOLDEN_RAW_OUTPUTS, ids=[c.name for c, _, _ in GOLDEN_RAW_OUTPUTS]
+)
+class TestFrozenKernelGolden:
+    """The frozen forward's bits: pinned, and the same at every chunk size."""
+
+    def test_every_chunk_size_gives_the_one_window_bits(self, config, seed, golden):
+        predictor = TimePPGPredictor(config, seed=seed).freeze()
+        batch = _golden_batch(predictor, seed)
+        reference = _raw_outputs(predictor, batch, 1)
+        for chunk in GOLDEN_CHUNKS[1:]:
+            np.testing.assert_array_equal(
+                _raw_outputs(predictor, batch, chunk), reference, err_msg=f"chunk {chunk}"
+            )
+
+    def test_outputs_match_recorded_one_window_digest(self, config, seed, golden):
+        if _blas_probe() != RECORDED_BLAS_PROBE:
+            pytest.skip("this BLAS rounds GEMMs differently from the recording machine")
+        predictor = TimePPGPredictor(config, seed=seed).freeze()
+        batch = _golden_batch(predictor, seed)
+        for chunk in GOLDEN_CHUNKS:
+            assert _digest(_raw_outputs(predictor, batch, chunk)) == golden, f"chunk {chunk}"
+
+    def test_zero_row_batch_yields_empty_column(self, config, seed, golden):
+        predictor = TimePPGPredictor(config, seed=seed).freeze()
+        out = predictor._forward(np.empty((0, config.input_channels, config.input_length)))
+        assert out.shape == (0, 1)
+
+    def test_float32_frozen_net_within_documented_tolerance(self, config, seed, golden):
+        reference = TimePPGPredictor(config, seed=seed).freeze()
+        batch = _golden_batch(reference, seed)
+        expected = _raw_outputs(reference, batch, 64)
+        predictor32 = TimePPGPredictor(config, seed=seed).freeze(dtype="float32")
+        batch32 = batch.astype(np.float32)
+        out = _raw_outputs(predictor32, batch32, 64)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(_raw_outputs(predictor32, batch32, 7), out)
+        atol, rtol = EQUIVALENCE_TOLERANCES["float32"]
+        np.testing.assert_allclose(out, expected, atol=atol, rtol=rtol)
 
 
 class TestZeroRowBatches:

@@ -163,6 +163,17 @@ class TestDense:
         with pytest.raises(ValueError):
             dense.output_shape((4,))
 
+    @pytest.mark.parametrize("out_features", [1, 8])
+    def test_inference_rows_do_not_depend_on_batch_size(self, out_features):
+        """gemv (or dot) per row: a 64-row batch gives each row's one-row bits."""
+        rng = np.random.default_rng(out_features)
+        dense = Dense(2048, out_features, rng=rng)
+        x = rng.normal(size=(64, 2048))
+        whole = dense.forward(x)
+        rows = np.concatenate([dense.forward(x[i:i + 1]) for i in range(64)])
+        np.testing.assert_array_equal(whole, rows)
+        assert dense.forward(x[:0]).shape == (0, out_features)
+
 
 class TestReLU:
     def test_forward_and_backward(self):
@@ -252,6 +263,17 @@ class TestPooling:
         with pytest.raises(ValueError):
             AvgPool1d(16).forward(np.zeros((1, 1, 8)))
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("pool_size", [2, 4])
+    def test_avg_pool_equals_reshape_mean_bit_for_bit(self, pool_size, dtype):
+        """The slice-sum pooling keeps the bits of the reduction it replaced."""
+        x = np.random.default_rng(pool_size).normal(size=(3, 5, 33)).astype(dtype)
+        l_out = 33 // pool_size
+        reference = x[:, :, : l_out * pool_size].reshape(3, 5, l_out, pool_size).mean(axis=3)
+        out = AvgPool1d(pool_size).forward(x)
+        assert out.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(out, reference)
+
 
 class TestFlattenDropout:
     def test_flatten_roundtrip(self):
@@ -307,17 +329,23 @@ class TestConvInferenceLowering:
             conv.forward(x, training=False), conv.forward(x, training=True)
         )
 
-    def test_inference_reuses_column_buffer(self):
+    def test_inference_rows_do_not_depend_on_batch_size(self):
         rng = np.random.default_rng(1)
-        conv = Conv1d(2, 2, 3, rng=rng)
-        x = rng.normal(size=(3, 2, 16))
-        conv.forward(x, training=False)
-        buffer = conv._gemm_cols
-        assert buffer is not None
-        conv.forward(x, training=False)
-        assert conv._gemm_cols is buffer  # stable shape -> same buffer
-        conv.forward(rng.normal(size=(5, 2, 16)), training=False)
-        assert conv._gemm_cols is not buffer  # new batch shape -> new buffer
+        conv = Conv1d(6, 8, 5, stride=2, dilation=1, rng=rng)
+        x = rng.normal(size=(9, 6, 64))
+        whole = conv.forward(x, training=False)
+        for size in (1, 2, 4):
+            parts = [conv.forward(x[s:s + size], training=False) for s in range(0, 9, size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    def test_im2col_zero_pads_and_keeps_integer_dtype(self):
+        conv = Conv1d(1, 1, 3, rng=np.random.default_rng(0))
+        x = np.arange(1, 5, dtype=np.int32).reshape(1, 1, 4)
+        cols = conv.im2col(x)
+        assert cols.dtype == np.int32
+        np.testing.assert_array_equal(
+            cols, [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 0]]
+        )
 
     def test_inference_outputs_are_independent_arrays(self):
         rng = np.random.default_rng(2)

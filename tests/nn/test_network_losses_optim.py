@@ -244,3 +244,30 @@ class TestFoldBatchnorm:
         np.testing.assert_allclose(
             folded.forward(x, training=False), net.forward(x, training=False)
         )
+
+
+class TestForwardFrozen:
+    @pytest.mark.parametrize("leading_relu", [False, True])
+    def test_equals_layer_by_layer_forward_and_leaves_input_alone(self, leading_relu):
+        from repro.nn.layers import AvgPool1d, BatchNorm1d, Dropout, GlobalAvgPool1d
+        from repro.nn.network import fold_batchnorm, forward_frozen
+
+        rng = np.random.default_rng(5)
+        convs = Sequential([
+            *([ReLU()] if leading_relu else []),
+            BatchNorm1d(3),
+            Conv1d(3, 4, 3, stride=2, rng=rng),
+            ReLU(),
+            Dropout(0.5),
+            AvgPool1d(2),
+        ])
+        x = rng.normal(size=(6, 3, 32))
+        convs.forward(x, training=True)
+        head = [Flatten(), Dense(4 * 8, 5, rng=rng), ReLU(), Dense(5, 1, rng=rng)]
+        for tail in (head, [GlobalAvgPool1d()]):
+            net = fold_batchnorm(Sequential(convs.layers + tail))
+            before = x.copy()
+            np.testing.assert_array_equal(
+                forward_frozen(net, x), net.forward(x, training=False)
+            )
+            np.testing.assert_array_equal(x, before)
